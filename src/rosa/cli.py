@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointFormatError, ConfigError, InvalidInputError,
                      NumericError, RosaError)
@@ -101,7 +103,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    report = run_theorem_suite(seed=args.seed if args.seed is not None else 0)
+    report = run_theorem_suite(n=args.samples, d=args.inputs, p=args.outputs,
+                               residual_rank=args.residual_rank,
+                               ranks=tuple(args.ranks), seed=args.seed)
     inst = report["instance"]
     print(f"instance: n={inst['n']} d={inst['d']} p={inst['p']} "
           f"residual rank {inst['residual_rank']} seed {inst['seed']}")
@@ -220,7 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     theorem = sub.add_parser("theorem", help="run the exact-convergence suite")
-    theorem.add_argument("--seed", type=int)
+    theorem.add_argument("--samples", type=int, default=40)
+    theorem.add_argument("--inputs", type=int, default=16)
+    theorem.add_argument("--outputs", type=int, default=8)
+    theorem.add_argument("--residual-rank", type=int, default=6,
+                         dest="residual_rank")
+    theorem.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 3, 6])
+    theorem.add_argument("--seed", type=int, default=0)
     theorem.add_argument("--out", help="optional output directory")
     theorem.set_defaults(func=cmd_theorem)
 
@@ -261,7 +271,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NumericError, RosaError) as exc:
+    except (NumericError, RosaError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,12 @@ the error no rank-r correction can remove is the tail sum of squared
 singular values, and greedy repetition of the rank-r solve removes r
 singular directions per round until e is exhausted.
 
+x = QR with orthonormal Q gives ||x m||_F = ||R m||_F for every m, so x @ m
+and the d x p matrix R @ m share singular values and right singular
+vectors. Each problem solves least squares and factors x once
+(RegressionProblem.w_ls, .x_r, .residual_sigma); every spectrum and every
+greedy round works on R @ m instead of the n x p matrix x @ m.
+
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +48,8 @@ class RegressionProblem:
 
     x must have full column rank; this is checked at construction and a
     violation raises SingularMatrixError naming the offending singular
-    value.
+    value. The cached values below assume x, y and w0 are not mutated
+    after construction.
     """
 
     x: Array
@@ -88,6 +96,26 @@ class RegressionProblem:
         """Largest admissible correction rank, min(d, p)."""
         return min(self.d_features, self.p_targets)
 
+    @cached_property
+    def w_ls(self) -> Array:
+        """Least-squares weight argmin_w ||x w - y||_F^2, solved once."""
+        return _read_only(least_squares(self.x, self.y))
+
+    @cached_property
+    def x_r(self) -> Array:
+        """Upper-triangular d x d factor R of x = QR."""
+        return _read_only(np.linalg.qr(self.x, mode="r"))
+
+    @cached_property
+    def residual_sigma(self) -> Array:
+        """Singular values of e = x @ (w_ls - w0), descending, min(d, p) of them."""
+        return _read_only(singular_values(self.x_r @ (self.w_ls - self.w0)))
+
+
+def _read_only(a: Array) -> Array:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class RosaTrace:
@@ -124,13 +152,7 @@ def data_error(problem: RegressionProblem, w: Array) -> float:
 
 def irreducible_error(problem: RegressionProblem) -> float:
     """Error floor shared by every weight: the off-range part of y."""
-    return data_error(problem, least_squares(problem.x, problem.y))
-
-
-def _residual_after_ls(problem: RegressionProblem, w_from: Array) -> Array:
-    """e = x @ (w_ls - w_from), the removable error matrix seen from w_from."""
-    w_ls = least_squares(problem.x, problem.y)
-    return problem.x @ (w_ls - w_from)
+    return data_error(problem, problem.w_ls)
 
 
 def _check_correction_rank(problem: RegressionProblem, rank: int) -> None:
@@ -142,6 +164,19 @@ def _check_correction_rank(problem: RegressionProblem, rank: int) -> None:
             f"min(d={problem.d_features}, p={problem.p_targets}) "
             f"= {problem.rank_budget()}"
         )
+
+
+def _rank_r_correction(problem: RegressionProblem, w_from: Array,
+                       rank: int) -> tuple[Array, Array]:
+    """Best rank-`rank` correction (a, b) to add to w_from.
+
+    With move = w_ls - w_from and v_r the leading `rank` right singular
+    vectors of x @ move, taken from R @ move: a = move @ v_r, b = v_r.T.
+    A sign flip of a column of v_r leaves a @ b unchanged.
+    """
+    move = problem.w_ls - w_from
+    v_r = svd(problem.x_r @ move).v[:, :rank]
+    return move @ v_r, v_r.T
 
 
 def rrr_optimum(problem: RegressionProblem, rank: int) -> tuple[Array, Array]:
@@ -158,12 +193,7 @@ def rrr_optimum(problem: RegressionProblem, rank: int) -> tuple[Array, Array]:
     with v_r the leading `rank` right singular vectors of e.
     """
     _check_correction_rank(problem, rank)
-    w_ls = least_squares(problem.x, problem.y)
-    e = problem.x @ (w_ls - problem.w0)
-    v_r = svd(e).v[:, :rank]
-    a = (w_ls - problem.w0) @ v_r
-    b = v_r.T
-    return a, b
+    return _rank_r_correction(problem, problem.w0, rank)
 
 
 def achieved_error(problem: RegressionProblem, a: Array, b: Array) -> float:
@@ -180,8 +210,7 @@ def lora_error_lower_bound(problem: RegressionProblem, rank: int) -> float:
     the irreducible floor, and the closed-form optimum meets it exactly.
     """
     _check_correction_rank(problem, rank)
-    s = singular_values(_residual_after_ls(problem, problem.w0))
-    s = s[:problem.rank_budget()]
+    s = problem.residual_sigma[:problem.rank_budget()]
     return float(np.sum(s[rank:] ** 2))
 
 
@@ -193,8 +222,7 @@ def residual_rank(problem: RegressionProblem) -> int:
     keeps an all-roundoff residual (problem already solved by w0) at rank
     zero instead of promoting its noise floor to full rank.
     """
-    e = _residual_after_ls(problem, problem.w0)
-    s = singular_values(e)
+    s = problem.residual_sigma
     cutoff = RESIDUAL_RANK_TOL * max(s[0], np.linalg.norm(problem.y), 1.0)
     return int(np.count_nonzero(s > cutoff))
 
@@ -209,30 +237,34 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
                        max_steps: int) -> RosaTrace:
     """Greedy repetition of the closed-form rank-`rank` solve.
 
-    Round t re-roots the problem at the current weight and applies
-    rrr_optimum to it, so each round removes the `rank` strongest remaining
-    singular directions of the residual. Errors are non-increasing; a
-    violation beyond roundoff raises NumericError. The trace stops after
-    max_steps rounds regardless of convergence.
+    Round t re-roots the problem at the current weight and applies the
+    closed-form rank-`rank` solve from there, so each round removes the
+    `rank` strongest remaining singular directions of the residual. Errors
+    are non-increasing; a violation beyond roundoff, or a non-finite
+    error, raises NumericError. The trace stops after max_steps rounds
+    regardless of convergence.
     """
     _check_correction_rank(problem, rank)
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be >= 0, got {max_steps}")
     t_predicted = predicted_rounds(problem, rank)
     w = problem.w0.copy()
-    weights = [w.copy()]
+    weights = [w]
     errors = [data_error(problem, w)]
     slack = 1e-12 * max(errors[0], 1.0)
     for _ in range(max_steps):
-        step_problem = RegressionProblem(x=problem.x, y=problem.y, w0=w)
-        a, b = rrr_optimum(step_problem, rank)
+        a, b = _rank_r_correction(problem, w, rank)
         w = w + a @ b
         err = data_error(problem, w)
+        if not math.isfinite(err):
+            raise NumericError(
+                f"greedy error is not finite after round {len(errors)}: {err}"
+            )
         if err > errors[-1] + slack:
             raise NumericError(
                 f"greedy error increased: {errors[-1]:.6e} -> {err:.6e}"
             )
-        weights.append(w.copy())
+        weights.append(w)
         errors.append(err)
     return RosaTrace(weights=weights, errors=errors, t_predicted=t_predicted)
 

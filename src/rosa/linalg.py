@@ -78,11 +78,13 @@ def svd(w) -> SvdFactors:
     u = u[:, order]
     s = s[order]
     v = vt.T[:, order]
-    for j in range(s.size):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    # argmax returns the first maximum, which is the lowest-row tie rule.
+    # Multiplying by exactly -1.0 or 1.0 gives the same bytes as negating
+    # the flipped columns one by one.
+    lead = np.argmax(np.abs(u), axis=0)
+    sign = np.where(u[lead, np.arange(s.size)] < 0, -1.0, 1.0)
+    u *= sign
+    v *= sign
     return SvdFactors(u=u, sigma=s, v=v)
 
 

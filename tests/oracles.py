@@ -53,6 +53,26 @@ def jacobi_singular_values(w) -> np.ndarray:
     return np.sort(np.sqrt(eigs))[::-1]
 
 
+def loop_sign_convention(u, s, vt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The svd sign convention applied column by column to raw LAPACK output.
+
+    Takes (u, s, vt) as np.linalg.svd returns them, sorts by descending s
+    (stable), and flips each column of u whose largest-magnitude entry is
+    negative, together with the paired column of v. np.argmax picks the
+    lowest row index on a magnitude tie. Returns (u, s, v).
+    """
+    order = np.argsort(-np.asarray(s), kind="stable")
+    u = np.array(u, dtype=np.float64)[:, order]
+    s = np.array(s, dtype=np.float64)[order]
+    v = np.array(vt, dtype=np.float64).T[:, order]
+    for j in range(s.size):
+        lead = int(np.argmax(np.abs(u[:, j])))
+        if u[lead, j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return u, s, v
+
+
 def gram_schmidt_projection(x) -> np.ndarray:
     """Projector onto the column space of x via modified Gram-Schmidt.
 

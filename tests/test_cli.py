@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rosa.cli
 from rosa.checkpoint import load_checkpoint
 from rosa.cli import main
 from rosa.network import predict
@@ -119,6 +120,14 @@ class TestExitCodes:
         assert main(["spectrum", absent, absent,
                      "--out", str(tmp_path / "o")]) == 4
 
+    def test_linalg_error_is_3(self, monkeypatch, capsys):
+        def fail(**kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rosa.cli, "run_theorem_suite", fail)
+        assert main(["theorem"]) == 3
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+
 
 class TestTheorem:
     def test_exit_zero_and_report(self, tmp_path, capsys):
@@ -133,6 +142,37 @@ class TestTheorem:
     def test_no_out_still_prints(self, capsys):
         assert main(["theorem"]) == 0
         assert "T_pred" in capsys.readouterr().out
+
+    def test_defaults_fixed_outcome(self, tmp_path):
+        out = tmp_path / "t"
+        assert main(["theorem", "--out", str(out)]) == 0
+        report = json.loads((out / "theorem.json").read_text())
+        got = [(c["rank"], c["t_predicted"], c["observed_step"],
+                c["bound_attained"], c["converged_at_t"], c["strict_before_t"])
+               for c in report["cases"]]
+        assert got == [(1, 6, 6, True, True, True), (2, 3, 3, True, True, True),
+                       (3, 2, 2, True, True, True), (6, 1, 1, True, True, True)]
+        assert report["noisy_case"]["plateau_ok"] is True
+        assert report["instance"] == {"n": 40, "d": 16, "p": 8,
+                                      "residual_rank": 6, "seed": 0}
+
+    def test_shape_options(self, tmp_path):
+        out = tmp_path / "t"
+        code = main(["theorem", "--samples", "30", "--inputs", "10",
+                     "--outputs", "6", "--residual-rank", "5",
+                     "--ranks", "2", "5", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "theorem.json").read_text())
+        assert report["instance"] == {"n": 30, "d": 10, "p": 6,
+                                      "residual_rank": 5, "seed": 3}
+        assert [(c["rank"], c["t_predicted"], c["observed_step"])
+                for c in report["cases"]] == [(2, 3, 3), (5, 1, 1)]
+        assert report["all_ok"] is True
+
+    def test_rank_above_budget_is_2(self, capsys):
+        assert main(["theorem", "--outputs", "4", "--residual-rank", "3",
+                     "--ranks", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestSpectrum:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rosa.exact
 from rosa.errors import (
     InvalidInputError,
+    NumericError,
     RankTooLargeError,
     SingularMatrixError,
 )
@@ -22,6 +24,7 @@ from rosa.exact import (
     rrr_optimum,
     with_off_range_noise,
 )
+from rosa.linalg import SvdFactors, singular_values
 
 from oracles import (
     gd_rank_limited,
@@ -233,6 +236,79 @@ class TestGreedyIteration:
         p = random_instance(10, 4, 3, seed=26)
         with pytest.raises(InvalidInputError):
             rosa_exact_iterate(p, rank=1, max_steps=-1)
+
+    @pytest.mark.parametrize("max_steps", [1, 3])
+    def test_non_finite_error_raises_numeric_error(self, monkeypatch, max_steps):
+        # A NaN singular basis makes the round's error NaN, which compares
+        # False against the monotonicity guard; it must still be caught.
+        svd = rosa.exact.svd
+
+        def nan_v(w):
+            f = svd(w)
+            return SvdFactors(u=f.u, sigma=f.sigma, v=np.full_like(f.v, np.nan))
+
+        monkeypatch.setattr(rosa.exact, "svd", nan_v)
+        p = random_instance(10, 4, 3, seed=26)
+        with pytest.raises(NumericError, match="not finite"):
+            rosa_exact_iterate(p, rank=2, max_steps=max_steps)
+
+    def test_builds_no_problem(self, monkeypatch):
+        p = realizable_instance(22, 7, 5, residual_rank=4, seed=19)
+        built = []
+        post_init = RegressionProblem.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(RegressionProblem, "__post_init__", counting)
+        rosa_exact_iterate(p, rank=1, max_steps=6)
+        assert built == []
+
+
+class TestCachedFactors:
+    def test_least_squares_solved_once(self, monkeypatch):
+        calls = []
+        solve = rosa.exact.least_squares
+
+        def counting(x, y):
+            calls.append(1)
+            return solve(x, y)
+
+        monkeypatch.setattr(rosa.exact, "least_squares", counting)
+        p = realizable_instance(22, 7, 5, residual_rank=4, seed=34)
+        rrr_optimum(p, 2)
+        irreducible_error(p)
+        lora_error_lower_bound(p, 2)
+        predicted_rounds(p, 2)
+        rosa_exact_iterate(p, rank=2, max_steps=3)
+        assert len(calls) == 1
+
+    def test_values_match_direct_routes(self):
+        p = random_instance(15, 6, 4, seed=35)
+        assert np.array_equal(p.w_ls, least_squares(p.x, p.y))
+        r = p.x_r
+        assert r.shape == (6, 6)
+        assert np.array_equal(r, np.triu(r))
+        assert np.allclose(r.T @ r, p.x.T @ p.x, atol=1e-10)
+        direct = singular_values(p.x @ (p.w_ls - p.w0))
+        assert p.residual_sigma.shape == (4,)
+        assert np.allclose(p.residual_sigma, direct, rtol=1e-12, atol=0.0)
+
+    def test_wide_targets_keep_budget(self):
+        # p > d: R @ move is d x p, so the spectrum has d entries, the
+        # admissible budget, where x @ move would add p - d roundoff zeros.
+        p = random_instance(20, 4, 7, seed=36)
+        assert p.residual_sigma.shape == (4,)
+        a, b = rrr_optimum(p, 4)
+        assert np.allclose(p.w0 + a @ b, p.w_ls, atol=1e-9)
+        assert lora_error_lower_bound(p, 4) == 0.0
+
+    def test_cached_arrays_read_only(self):
+        p = random_instance(10, 4, 3, seed=37)
+        for arr in (p.w_ls, p.x_r, p.residual_sigma):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestNoiseInjection:

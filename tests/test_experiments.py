@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rosa.exact
 from rosa.errors import InvalidInputError
 from rosa.experiments import (
     LR_GRID,
@@ -44,6 +45,22 @@ class TestTheoremSuite:
         noisy = report["noisy_case"]
         assert noisy["plateau_ok"] is True
         assert noisy["irreducible_error"] > 0.0
+
+    def test_three_least_squares_solves(self, monkeypatch):
+        # The instance, the off-range noise projection and the noisy
+        # instance; every rank and every greedy round reuses them.
+        calls = []
+        solve = rosa.exact.least_squares
+
+        def counting(x, y):
+            calls.append(1)
+            return solve(x, y)
+
+        monkeypatch.setattr(rosa.exact, "least_squares", counting)
+        report = run_theorem_suite(n=40, d=16, p=8, residual_rank=6,
+                                   ranks=(1, 2, 3, 6), seed=0)
+        assert report["all_ok"] is True
+        assert len(calls) == 3
 
     def test_report_is_json_clean(self):
         report = run_theorem_suite(n=16, d=6, p=4, residual_rank=2,

@@ -13,7 +13,8 @@ from rosa.linalg import (
     svd,
 )
 
-from oracles import gram_schmidt_projection, jacobi_singular_values
+from oracles import (gram_schmidt_projection, jacobi_singular_values,
+                     loop_sign_convention)
 
 SHAPES = [(3, 3), (5, 3), (3, 5), (7, 7), (8, 2), (2, 8)]
 
@@ -91,6 +92,33 @@ class TestSignConvention:
         assert np.allclose(f.sigma, [2.0, 1.0])
         assert np.allclose(f.v, np.diag([-1.0, 1.0]))
         assert np.allclose(f.reconstruct(), np.diag([-2.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9), (64, 64)])
+    def test_matches_loop_oracle_bitwise(self, shape):
+        w = rng_for(5).standard_normal(shape)
+        u, s, v = loop_sign_convention(*np.linalg.svd(w, full_matrices=False))
+        f = svd(w)
+        assert np.array_equal(f.u, u)
+        assert np.array_equal(f.sigma, s)
+        assert np.array_equal(f.v, v)
+
+    def test_magnitude_tie_lowest_row_wins(self, monkeypatch):
+        # Hand-made "LAPACK output" with exact magnitude ties in both
+        # columns: column 0 leads with +0.5 at row 0 (kept), column 1 with
+        # -0.6 at row 0 (flipped), although row 1 holds the same magnitude
+        # with the opposite sign.
+        u = np.array([[0.5, -0.6], [-0.5, 0.6], [0.1, 0.2]])
+        s = np.array([2.0, 1.0])
+        vt = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda w, full_matrices: (u.copy(), s.copy(), vt.copy()))
+        f = svd(np.ones((3, 2)))
+        want_u, want_s, want_v = loop_sign_convention(u, s, vt)
+        assert np.array_equal(f.u, want_u)
+        assert np.array_equal(f.sigma, want_s)
+        assert np.array_equal(f.v, want_v)
+        assert np.array_equal(f.u[:2], [[0.5, 0.6], [-0.5, -0.6]])
+        assert np.array_equal(f.v[:, 1], [0.8, -0.6])
 
     def test_repeatable_bitwise(self):
         w = rng_for(4).standard_normal((5, 4))

@@ -25,7 +25,7 @@ from .linalg import (SamplingScheme, SvdFactors, numerical_rank,
                      svd)
 from .network import (Activation, DenseLayer, ForwardCache, GradientSet, Mlp,
                       backward, build_mlp, forward, mse_loss,
-                      mse_loss_gradient, predict)
+                      mse_loss_and_gradient, mse_loss_gradient, predict)
 from .optim import AdamW, Sgd
 from .synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
 from .training import (MetricsRecord, TrainConfig, TrainResult, adapt_network,

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
                     rrr_optimum, with_off_range_noise)
@@ -94,8 +94,11 @@ def sweep_learning_rates(task: SyntheticTask, base_config: TrainConfig,
                          lrs: tuple[float, ...] = LR_GRID) -> dict:
     """Run one configuration at each learning rate, keep the best.
 
-    Best means lowest final validation loss. Returns the winning
-    TrainResult under 'best' plus a JSON-friendly per-rate row list.
+    Best means lowest final validation loss among the rates that finished.
+    A rate whose run raises NumericError is recorded as a diverged row with
+    None losses instead of ending the sweep; if every rate diverges the
+    sweep raises NumericError naming them. Returns the winning TrainResult
+    under 'best' plus a JSON-friendly per-rate row list.
     """
     if not lrs:
         raise InvalidInputError("learning-rate grid is empty")
@@ -103,9 +106,15 @@ def sweep_learning_rates(task: SyntheticTask, base_config: TrainConfig,
     best_lr = None
     rows = []
     for lr in lrs:
-        result = run_training(replace(base_config, lr=lr), task)
+        try:
+            result = run_training(replace(base_config, lr=lr), task)
+        except NumericError:
+            rows.append({"lr": lr, "diverged": True, "final_val_loss": None,
+                         "best_val_loss": None, "final_train_loss": None})
+            continue
         rows.append({
             "lr": lr,
+            "diverged": False,
             "final_val_loss": result.summary["final_val_loss"],
             "best_val_loss": result.summary["best_val_loss"],
             "final_train_loss": result.summary["final_train_loss"],
@@ -115,6 +124,11 @@ def sweep_learning_rates(task: SyntheticTask, base_config: TrainConfig,
                 < best_result.summary["final_val_loss"]):
             best_result = result
             best_lr = lr
+    if best_result is None:
+        raise NumericError(
+            f"training diverged at every learning rate {list(lrs)} "
+            f"for method '{base_config.method}'"
+        )
     return {"best": best_result, "best_lr": best_lr, "rows": rows}
 
 

@@ -1,8 +1,9 @@
 """Column-batched MLP on adapter layers, with hand-written gradients.
 
 Inputs are d x batch matrices (one sample per column). forward returns the
-output together with a cache of layer inputs and pre-activations; backward
-consumes that cache and produces gradients for trainable parameters only.
+output together with a cache of layer inputs and pre-activations (plus
+b @ x of factored adapters and w @ x of IA3 layers); backward consumes that
+cache and produces gradients for trainable parameters only.
 The cache carries the network's version counter, and any parameter mutation
 is expected to bump it, so gradients can never be computed from stale
 activations.
@@ -114,7 +115,14 @@ def forward(net: Mlp, x) -> tuple[Array, ForwardCache]:
     for layer in net.layers:
         ad = layer.adapter
         rec: dict[str, Array] = {"x": h}
-        if isinstance(ad, Ia3Adapter):
+        if isinstance(ad, (RosaAdapter, LoraAdapter)):
+            # Same expression as the adapter's forward, keeping b @ x for
+            # the gradient of a.
+            host = ad.w_fixed if isinstance(ad, RosaAdapter) else ad.w_frozen
+            bx = ad.b @ h
+            rec["bx"] = bx
+            z = host @ h + ad.a @ bx + layer.bias[:, None]
+        elif isinstance(ad, Ia3Adapter):
             lin = ad.w_frozen @ h
             rec["lin"] = lin
             z = ad.scale[:, None] * lin + layer.bias[:, None]
@@ -152,12 +160,24 @@ def mse_loss_gradient(pred, target) -> Array:
     return 2.0 * (pred - target) / pred.size
 
 
+def mse_loss_and_gradient(pred: Array, target: Array) -> tuple[float, Array]:
+    """mse_loss and mse_loss_gradient of two arrays from one difference."""
+    if pred.shape != target.shape:
+        raise ShapeError("prediction and target shapes differ",
+                         pred.shape, target.shape)
+    diff = pred - target
+    # The reduction np.mean makes, without its Python-level wrapper.
+    loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
+    return loss, 2.0 * diff / pred.size
+
+
 def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
     """Reverse-mode gradients for every trainable parameter.
 
     output_grad is the loss gradient with respect to the network output,
     shaped like that output. Frozen arrays (w_fixed, w_frozen) get no
-    gradient entry at all.
+    gradient entry at all, and no gradient with respect to the network
+    input is computed: the first layer stops at its parameter gradients.
     """
     if cache.version != net.version:
         raise ContractViolationError(
@@ -186,18 +206,20 @@ def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
         grads: dict[str, Array] = {}
         ad = layer.adapter
         if isinstance(ad, (RosaAdapter, LoraAdapter)):
-            x_in = rec["x"]
             at_dz = ad.a.T @ dz
-            grads["a"] = dz @ (ad.b @ x_in).T
-            grads["b"] = at_dz @ x_in.T
-            w_host = ad.w_fixed if isinstance(ad, RosaAdapter) else ad.w_frozen
-            g = w_host.T @ dz + ad.b.T @ at_dz
+            grads["a"] = dz @ rec["bx"].T
+            grads["b"] = at_dz @ rec["x"].T
+            if i:
+                w_host = ad.w_fixed if isinstance(ad, RosaAdapter) else ad.w_frozen
+                g = w_host.T @ dz + ad.b.T @ at_dz
         elif isinstance(ad, Ia3Adapter):
             grads["scale"] = (dz * rec["lin"]).sum(axis=1)
-            g = ad.w_frozen.T @ (ad.scale[:, None] * dz)
+            if i:
+                g = ad.w_frozen.T @ (ad.scale[:, None] * dz)
         elif isinstance(ad, FullyTrainable):
             grads["w"] = dz @ rec["x"].T
-            g = ad.w.T @ dz
+            if i:
+                g = ad.w.T @ dz
         else:
             raise ContractViolationError(f"unknown adapter type {type(ad)!r}")
         grads["bias"] = dz.sum(axis=1)

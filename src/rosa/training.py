@@ -17,9 +17,10 @@ import numpy as np
 from .adapters import (RosaAdapter, full_init, ia3_init, lora_init,
                        matrix_param_count, rosa_init, trainable_reduction)
 from .errors import ConfigError, ContractViolationError, NumericError
+# perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
 from .linalg import SamplingScheme, numerical_rank
-from .network import (DenseLayer, Mlp, backward, forward, mse_loss,
-                      mse_loss_gradient, predict)
+from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F401
+                      mse_loss_and_gradient, mse_loss_gradient, predict)
 from .optim import AdamW, Sgd
 from .synthetic import SyntheticTask
 
@@ -207,14 +208,14 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
             xb = task.x_train[:, cols]
             yb = task.y_train[:, cols]
             pred, cache = forward(net, xb)
-            loss = mse_loss(pred, yb)
+            loss, loss_grad = mse_loss_and_gradient(pred, yb)
             if not math.isfinite(loss):
                 raise NumericError(
                     f"train loss became non-finite at epoch {epoch}, "
                     f"step {global_step}"
                 )
             sq_sum += loss * cols.size
-            grads = backward(net, cache, mse_loss_gradient(pred, yb))
+            grads = backward(net, cache, loss_grad)
             optimizer.step(net, grads)
             global_step += 1
         if (schedule_on and config.factorize_unit == "epochs"

@@ -220,6 +220,44 @@ def adamw_reference(param, grad_seq, *, lr: float, beta1: float = 0.9,
     return p
 
 
+class LoopAdamW:
+    """AdamW with one (m, v, t) entry per (layer, name), updated parameter
+    by parameter; the same arithmetic as rosa.optim.AdamW, element by
+    element, without its flat buffers."""
+
+    def __init__(self, learning_rate: float, beta1: float = 0.9,
+                 beta2: float = 0.98, epsilon: float = 1e-6,
+                 weight_decay: float = 0.0):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.weight_decay = weight_decay
+        self.state = {}
+
+    def step(self, net: Mlp, grads) -> None:
+        for i, layer_grads in enumerate(grads.layers):
+            params = dict(net.layers[i].adapter.trainable_arrays())
+            params["bias"] = net.layers[i].bias
+            for name, g in layer_grads.items():
+                key, p = (i, name), params[name]
+                m, v, t = self.state.get(key) or (np.zeros_like(p), np.zeros_like(p), 0)
+                t += 1
+                m = self.beta1 * m + (1.0 - self.beta1) * g
+                v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+                self.state[key] = (m, v, t)
+                m_hat = m / (1.0 - self.beta1 ** t)
+                v_hat = v / (1.0 - self.beta2 ** t)
+                if self.weight_decay > 0.0:
+                    p *= 1.0 - self.learning_rate * self.weight_decay
+                p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        net.bump()
+
+    def reset_moments(self, layer_index: int, names) -> None:
+        for name in names:
+            self.state.pop((layer_index, name), None)
+
+
 def dense_forward(net: Mlp, x) -> np.ndarray:
     """Forward pass that materializes every effective weight first.
 

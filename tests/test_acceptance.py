@@ -2,14 +2,15 @@
 
 One test per shipped guarantee. Each test prints a scoreboard line outside
 pytest's capture, then asserts the details, so a plain run of this file
-shows ten PASS/FAIL verdicts with wall times whatever else is going on.
+shows eleven PASS/FAIL verdicts with wall times whatever else is going on.
 
-The synthetic benchmark (tests 03, 06, 07) trains a 28-run grid once in a
-module fixture; expect roughly half a minute there, everything else is
+The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
+a module fixture; expect most of a minute there, everything else is
 seconds.
 """
 
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -51,6 +52,7 @@ from rosa.training import (
 
 from oracles import finite_difference_gradients, gd_rank_limited
 
+FINGERPRINT = pathlib.Path(__file__).with_name("grid_fingerprint.json")
 ENTRIES = [("ft", None), ("rosa", 2), ("rosa", 6), ("rosa", 12),
            ("lora", 2), ("lora", 6), ("lora", 12)]
 
@@ -339,4 +341,26 @@ def test_10_checkpoint_round_trip(capsys):
                             f"changed across the round trip")
     elapsed = time.perf_counter() - t0
     scoreboard(capsys, 10, "checkpoint round trip", elapsed, failures)
+    assert not failures, failures
+
+
+def test_11_grid_fingerprint(capsys, benchmark_grid):
+    # Every run of the grid, not only each entry's winner, must reproduce
+    # the recorded final validation loss to the last bit.
+    t0 = time.perf_counter()
+    failures = []
+    recorded = json.loads(FINGERPRINT.read_text())["runs"]
+    got = {(c["method"], c["rank"], row["lr"]): repr(row["final_val_loss"])
+           for c in benchmark_grid["cells"].values() for row in c["lr_rows"]}
+    want = {(r["method"], r["rank"], r["lr"]): r["final_val_loss"]
+            for r in recorded}
+    if len(recorded) != 28 or set(got) != set(want):
+        failures.append(f"grid runs {sorted(got, key=str)} do not match the "
+                        f"{len(recorded)} recorded runs")
+    for key in sorted(set(got) & set(want), key=str):
+        if got[key] != want[key]:
+            failures.append(f"{key}: final val loss {got[key]}, recorded "
+                            f"{want[key]}")
+    elapsed = time.perf_counter() - t0
+    scoreboard(capsys, 11, "benchmark grid fingerprint", elapsed, failures)
     assert not failures, failures

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rosa.exact
-from rosa.errors import InvalidInputError
+import rosa.experiments
+from rosa.errors import InvalidInputError, NumericError
 from rosa.experiments import (
     LR_GRID,
     run_method_comparison,
@@ -86,6 +87,53 @@ class TestLrSweep:
 
     def test_default_grid_has_four_rates(self):
         assert LR_GRID == (2e-2, 2e-3, 2e-4, 2e-5)
+
+    @staticmethod
+    def diverge_at(monkeypatch, bad_lrs):
+        real = rosa.experiments.run_training
+
+        def patched(config, task):
+            if config.lr in bad_lrs:
+                raise NumericError(f"diverged at lr {config.lr}")
+            return real(config, task)
+
+        monkeypatch.setattr(rosa.experiments, "run_training", patched)
+
+    def test_diverged_rate_keeps_the_sweep(self, monkeypatch):
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
+        self.diverge_at(monkeypatch, {1e-2})
+        sweep = sweep_learning_rates(task, base, lrs=(1e-2, 1e-3, 1e-4))
+        rows = {row["lr"]: row for row in sweep["rows"]}
+        assert [row["lr"] for row in sweep["rows"]] == [1e-2, 1e-3, 1e-4]
+        assert rows[1e-2]["diverged"] is True
+        assert rows[1e-2]["final_val_loss"] is None
+        assert rows[1e-2]["best_val_loss"] is None
+        assert rows[1e-2]["final_train_loss"] is None
+        finished = [rows[1e-3], rows[1e-4]]
+        assert all(row["diverged"] is False for row in finished)
+        best_row = min(finished, key=lambda r: r["final_val_loss"])
+        assert sweep["best_lr"] == best_row["lr"]
+        assert sweep["best"].summary["final_val_loss"] == \
+               best_row["final_val_loss"]
+        json.dumps(sweep["rows"])
+
+    def test_every_rate_diverged_raises(self, monkeypatch):
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
+        self.diverge_at(monkeypatch, {1e-2, 1e-3})
+        with pytest.raises(NumericError, match=r"\[0\.01, 0\.001\]"):
+            sweep_learning_rates(task, base, lrs=(1e-2, 1e-3))
+
+    def test_comparison_survives_a_diverged_rate(self, monkeypatch):
+        task = generate_synthetic(SMALL)
+        self.diverge_at(monkeypatch, {1e-2})
+        cells = run_method_comparison(task, [("ft", None), ("rosa", 2)],
+                                      epochs=2, lrs=(1e-2, 1e-3),
+                                      batch_size=16)
+        for cell in cells:
+            assert cell["best_lr"] == 1e-3
+            assert [row["diverged"] for row in cell["lr_rows"]] == [True, False]
 
 
 class TestMethodComparison:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from rosa.adapters import full_init, rosa_init
-from rosa.errors import ContractViolationError, InvalidInputError
-from rosa.network import Activation, DenseLayer, GradientSet, Mlp
+from rosa.adapters import full_init, ia3_init, rosa_init
+from rosa.errors import ContractViolationError, InvalidInputError, ShapeError
+from rosa.network import (Activation, DenseLayer, GradientSet, Mlp, backward,
+                          build_mlp, forward, mse_loss, mse_loss_and_gradient,
+                          mse_loss_gradient)
 from rosa.optim import AdamW, Sgd
+from rosa.training import TrainConfig, adapt_network
 
-from oracles import adamw_reference
+from oracles import LoopAdamW, adamw_reference
 
 
 def single_layer_net(w, bias=None) -> Mlp:
@@ -183,3 +186,117 @@ def test_adamw_updates_rosa_pair_in_place():
     assert not np.allclose(ad.b, b_before)
     # The optimizer must mutate the arrays the adapter owns, not replace them.
     assert net.layers[0].adapter is ad
+
+
+def rosa_bias_net(seed: int) -> Mlp:
+    """Two-layer rosa net with non-zero biases."""
+    rng = np.random.default_rng(seed)
+    base = build_mlp([6, 8, 5], rng)
+    net = adapt_network(base, TrainConfig(method="rosa", rank=2, epochs=1), rng)
+    for layer in net.layers:
+        layer.bias += rng.standard_normal(layer.bias.shape)
+    return net
+
+
+def net_arrays(net: Mlp) -> list[np.ndarray]:
+    return [arr for layer in net.layers
+            for arr in (*layer.adapter.trainable_arrays().values(), layer.bias)]
+
+
+class TestFlatAdamWAgainstLoop:
+    # Resets between steps leave the keys on different step counts, which
+    # takes the per-element bias-correction path.
+    RESETS = {3: [(0, ("a", "b"))], 5: [(1, ("a",)), (0, ("bias",))],
+              6: [(1, ("b", "bias"))]}
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("with_resets", [False, True])
+    def test_bitwise_equal(self, weight_decay, with_resets):
+        flat_net, loop_net = rosa_bias_net(11), rosa_bias_net(11)
+        kwargs = dict(learning_rate=0.03, beta1=0.8, beta2=0.95,
+                      epsilon=1e-7, weight_decay=weight_decay)
+        flat, loop = AdamW(**kwargs), LoopAdamW(**kwargs)
+        for step in range(9):
+            for layer_index, names in (self.RESETS.get(step, ())
+                                       if with_resets else ()):
+                flat.reset_moments(layer_index, names)
+                loop.reset_moments(layer_index, names)
+            grads = grads_for(flat_net, 100 + step)
+            flat.step(flat_net, grads)
+            loop.step(loop_net, grads)
+            for got, want in zip(net_arrays(flat_net), net_arrays(loop_net)):
+                assert np.array_equal(got, want), f"step {step}"
+
+    def test_bitwise_equal_on_backward_gradients(self):
+        # Gradients from backward arrive in its own key order.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((6, 10))
+        y = rng.standard_normal((5, 10))
+        flat_net, loop_net = rosa_bias_net(12), rosa_bias_net(12)
+        flat, loop = AdamW(learning_rate=0.01), LoopAdamW(learning_rate=0.01)
+        for step in range(6):
+            if step == 3:
+                flat.reset_moments(1, ("a", "b"))
+                loop.reset_moments(1, ("a", "b"))
+            for net, opt in ((flat_net, flat), (loop_net, loop)):
+                pred, cache = forward(net, x)
+                opt.step(net, backward(net, cache, mse_loss_gradient(pred, y)))
+        for got, want in zip(net_arrays(flat_net), net_arrays(loop_net)):
+            assert np.array_equal(got, want)
+
+    def test_key_order_does_not_matter(self):
+        first, second = rosa_bias_net(13), rosa_bias_net(13)
+        opt_first, opt_second = AdamW(0.01), AdamW(0.01)
+        for step in range(3):
+            grads = grads_for(first, 200 + step)
+            reordered = GradientSet(layers=[dict(reversed(list(d.items())))
+                                            for d in grads.layers])
+            opt_first.step(first, grads)
+            opt_second.step(second, reordered if step % 2 else grads)
+        for got, want in zip(net_arrays(first), net_arrays(second)):
+            assert np.array_equal(got, want)
+
+
+class TestFlatLayout:
+    def test_other_network_shape_rejected(self):
+        opt = AdamW(learning_rate=0.01)
+        net = rosa_bias_net(14)
+        opt.step(net, grads_for(net, 0))
+        other = single_layer_net(np.ones((2, 3)))
+        with pytest.raises(ContractViolationError):
+            opt.step(other, grads_for(other, 1))
+
+    def test_same_keys_new_shape_rejected(self):
+        opt = AdamW(learning_rate=0.01)
+        net = single_layer_net(np.ones((2, 3)))
+        opt.step(net, grads_for(net, 0))
+        wider = single_layer_net(np.ones((2, 4)))
+        with pytest.raises(ContractViolationError):
+            opt.step(wider, grads_for(wider, 1))
+
+    def test_different_keys_rejected(self):
+        opt = AdamW(learning_rate=0.01)
+        net = single_layer_net(np.ones((2, 2)))
+        opt.step(net, grads_for(net, 0))
+        for ad in (rosa_init(np.eye(2), rank=1, rng=np.random.default_rng(0)),
+                   ia3_init(np.eye(2))):
+            swapped = Mlp(layers=[DenseLayer(adapter=ad, bias=np.zeros(2),
+                                             activation=Activation.IDENTITY)])
+            with pytest.raises(ContractViolationError):
+                opt.step(swapped, grads_for(swapped, 1))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (4, 1000)])
+def test_fused_loss_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-6, 1.0, 1e6):
+        pred = scale * rng.standard_normal(shape)
+        target = rng.standard_normal(shape)
+        loss, grad = mse_loss_and_gradient(pred, target)
+        assert repr(loss) == repr(mse_loss(pred, target))
+        assert np.array_equal(grad, mse_loss_gradient(pred, target))
+
+
+def test_fused_loss_shape_mismatch():
+    with pytest.raises(ShapeError):
+        mse_loss_and_gradient(np.zeros((2, 3)), np.zeros((3, 2)))

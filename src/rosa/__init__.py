@@ -1,7 +1,7 @@
 """Random subspace adaptation of dense networks, with exact linear solvers.
 
 The package splits into small layers: linalg (deterministic SVD and
-projections), adapters (the weight parameterizations), network (MLP with
+rank), adapters (the weight parameterizations), network (MLP with
 hand-written gradients), optim (SGD, AdamW), exact (closed-form solvers
 for the linear case), synthetic/training/experiments (the desk-scale
 harness), checkpoint (binary model files), and cli (the `rosa` command).
@@ -21,8 +21,7 @@ from .exact import (RegressionProblem, RosaTrace, achieved_error, data_error,
                     residual_rank, rosa_exact_iterate, rrr_optimum,
                     with_off_range_noise)
 from .linalg import (SamplingScheme, SvdFactors, numerical_rank,
-                     projection_onto_range, sample_indices, singular_values,
-                     svd)
+                     sample_indices, singular_values, svd)
 from .network import (Activation, DenseLayer, ForwardCache, GradientSet, Mlp,
                       backward, build_mlp, forward, mse_loss,
                       mse_loss_and_gradient, mse_loss_gradient, predict)

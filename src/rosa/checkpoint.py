@@ -13,7 +13,10 @@ scheme, and the factorize step counter.
 
 Loading parses the entire byte string before any network object is built,
 so a malformed file raises CheckpointFormatError (with the byte offset)
-and never yields partial state.
+and never yields partial state. A file that parses is also checked for
+self-consistency: every tensor finite, every factor, scale, bias and
+original weight shaped to fit its layer's host weight, every rank within
+[1, min(m, n)].
 """
 
 from __future__ import annotations
@@ -160,6 +163,9 @@ def _assemble(layer_metas: list, tensors: dict[str, Array],
         if key not in tensors:
             raise CheckpointFormatError(f"missing tensor '{key}'", table_offset)
         arr = tensors.pop(key)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointFormatError(
+                f"tensor '{key}' has non-finite entries", table_offset)
         if name in _VECTOR_NAMES:
             if arr.shape[1] != 1:
                 raise CheckpointFormatError(
@@ -212,24 +218,36 @@ def _assemble(layer_metas: list, tensors: dict[str, Array],
             raise CheckpointFormatError(f"layer {i} meta is incomplete: {exc}",
                                         table_offset) from exc
         bias = fetch(prefix, "bias")
-        m, n = adapter.shape
-        if bias.shape != (m,):
-            raise CheckpointFormatError(
-                f"layer {i} bias shape {bias.shape} does not match weight "
-                f"rows {m}", table_offset)
-        if hasattr(adapter, "a") and adapter.a.shape[0] != m:
-            raise CheckpointFormatError(
-                f"layer {i} factor 'a' has {adapter.a.shape[0]} rows for an "
-                f"{m} x {n} weight", table_offset)
-        if hasattr(adapter, "b") and adapter.b.shape[1] != n:
-            raise CheckpointFormatError(
-                f"layer {i} factor 'b' has {adapter.b.shape[1]} cols for an "
-                f"{m} x {n} weight", table_offset)
+        _check_layer_shapes(i, kind, adapter, bias, table_offset)
         layers.append(DenseLayer(adapter=adapter, bias=bias, activation=activation))
     if tensors:
         raise CheckpointFormatError(
             f"unreferenced tensors in file: {sorted(tensors)}", table_offset)
     return Mlp(layers=layers)
+
+
+def _check_layer_shapes(i: int, kind: str, adapter, bias: Array,
+                        table_offset: int) -> None:
+    """Every tensor of layer i must fit its m x n host weight and rank."""
+    m, n = adapter.shape
+    expected = {"bias": (m,)}
+    if kind in ("rosa", "lora"):
+        rank = adapter.rank
+        if not 1 <= rank <= min(m, n):
+            raise CheckpointFormatError(
+                f"layer {i} rank {rank} is outside [1, {min(m, n)}] for an "
+                f"{m} x {n} weight", table_offset)
+        expected.update(a=(m, rank), b=(rank, n))
+    if kind in ("rosa", "full"):
+        expected["w_original"] = (m, n)
+    if kind == "ia3":
+        expected["scale"] = (m,)
+    for name, shape in expected.items():
+        got = bias.shape if name == "bias" else getattr(adapter, name).shape
+        if got != shape:
+            raise CheckpointFormatError(
+                f"layer {i} tensor '{name}' has shape {got}, expected {shape} "
+                f"for an {m} x {n} weight", table_offset)
 
 
 def load_checkpoint(path) -> Mlp:

@@ -17,9 +17,15 @@ singular directions per round until e is exhausted.
 
 x = QR with orthonormal Q gives ||x m||_F = ||R m||_F for every m, so x @ m
 and the d x p matrix R @ m share singular values and right singular
-vectors. Each problem solves least squares and factors x once
-(RegressionProblem.w_ls, .x_r, .residual_sigma); every spectrum and every
-greedy round works on R @ m instead of the n x p matrix x @ m.
+vectors. Each x is factored once: construction takes R and checks the
+column rank from its singular values, and each problem solves least
+squares once (RegressionProblem.x_r, .w_ls, .residual_sigma). Every
+spectrum and every greedy round works on R @ m instead of the n x p matrix
+x @ m, and so does every data error: x @ w_ls - y is orthogonal to the
+range of x, so ||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible
+error, which each problem computes once and which is the only n-row
+product after setup. The off-range noisy variant of a problem shares its
+base's factors, since the noise moves none of them.
 
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
@@ -46,10 +52,11 @@ RESIDUAL_RANK_TOL = 1e-9
 class RegressionProblem:
     """One linear adaptation instance: minimize ||x (w0 + a b) - y||_F^2.
 
-    x must have full column rank; this is checked at construction and a
-    violation raises SingularMatrixError naming the offending singular
-    value. The cached values below assume x, y and w0 are not mutated
-    after construction.
+    x must have full column rank. Construction factors x = QR and checks
+    this on the singular values of R, which are those of x; a violation
+    raises SingularMatrixError naming the offending singular value. The
+    cached values below assume x, y and w0 are not mutated after
+    construction.
     """
 
     x: Array
@@ -70,15 +77,15 @@ class RegressionProblem:
                 f"x has more columns than rows ({x.shape}), cannot have "
                 f"full column rank"
             )
-        s = singular_values(x)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w0", w0)
+        s = singular_values(self.x_r)
         if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
             raise SingularMatrixError(
                 f"x is column-rank deficient: sigma_min={s[-1]:.6e} "
                 f"against sigma_max={s[0]:.6e}"
             )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w0", w0)
 
     @property
     def n_samples(self) -> int:
@@ -103,13 +110,37 @@ class RegressionProblem:
 
     @cached_property
     def x_r(self) -> Array:
-        """Upper-triangular d x d factor R of x = QR."""
+        """Upper-triangular d x d factor R of x = QR, taken at construction."""
         return _read_only(np.linalg.qr(self.x, mode="r"))
 
     @cached_property
     def residual_sigma(self) -> Array:
         """Singular values of e = x @ (w_ls - w0), descending, min(d, p) of them."""
         return _read_only(singular_values(self.x_r @ (self.w_ls - self.w0)))
+
+    @cached_property
+    def irreducible(self) -> float:
+        """||x w_ls - y||_F^2, the error floor shared by every weight."""
+        return _squared_norm(self.x @ self.w_ls - self.y)
+
+    def _with_off_range_targets(self, y: Array) -> RegressionProblem:
+        """Problem on the same x and w0 with targets y, sharing the factors.
+
+        y - self.y must be orthogonal to the range of x. Then w_ls, x_r and
+        residual_sigma carry over unchanged and x needs no second rank
+        check, so __post_init__ is skipped; the new problem computes only
+        its own irreducible error.
+        """
+        y = as_matrix(y, "y")
+        new = object.__new__(type(self))
+        new.__dict__.update(x=self.x, y=y, w0=self.w0, x_r=self.x_r,
+                            w_ls=self.w_ls, residual_sigma=self.residual_sigma,
+                            irreducible=_squared_norm(self.x @ self.w_ls - y))
+        return new
+
+
+def _squared_norm(m: Array) -> float:
+    return float(np.vdot(m, m))
 
 
 def _read_only(a: Array) -> Array:
@@ -145,14 +176,20 @@ def least_squares(x, y) -> Array:
 
 
 def data_error(problem: RegressionProblem, w: Array) -> float:
-    """Squared Frobenius error of weight w on the problem's data."""
-    r = problem.x @ w - problem.y
-    return float(np.sum(r * r))
+    """Squared Frobenius error ||x w - y||_F^2 of a d x p weight w.
+
+    Computed as ||R (w - w_ls)||_F^2 plus the irreducible error, which is
+    exact because x @ w_ls - y is orthogonal to the range of x.
+    """
+    if np.shape(w) != problem.w0.shape:
+        raise ShapeError("w does not map x-features to y-targets",
+                         problem.w0.shape, np.shape(w))
+    return _squared_norm(problem.x_r @ (w - problem.w_ls)) + problem.irreducible
 
 
 def irreducible_error(problem: RegressionProblem) -> float:
     """Error floor shared by every weight: the off-range part of y."""
-    return data_error(problem, problem.w_ls)
+    return problem.irreducible
 
 
 def _check_correction_rank(problem: RegressionProblem, rank: int) -> None:
@@ -197,7 +234,16 @@ def rrr_optimum(problem: RegressionProblem, rank: int) -> tuple[Array, Array]:
 
 
 def achieved_error(problem: RegressionProblem, a: Array, b: Array) -> float:
-    """Data error of the corrected weight w0 + a @ b."""
+    """Data error of the corrected weight w0 + a @ b.
+
+    a must be d x r and b r x p; any other pair raises ShapeError rather
+    than broadcasting against w0.
+    """
+    d, p = problem.w0.shape
+    a_shape, b_shape = np.shape(a), np.shape(b)
+    if (len(a_shape) != 2 or len(b_shape) != 2 or a_shape[0] != d
+            or b_shape[1] != p or a_shape[1] != b_shape[0]):
+        raise ShapeError("a @ b is not a d x p correction", a_shape, b_shape)
     return data_error(problem, problem.w0 + a @ b)
 
 
@@ -318,12 +364,12 @@ def with_off_range_noise(problem: RegressionProblem, scale: float,
 
     Adds scale times the component of a Gaussian draw orthogonal to the
     columns of x, which raises the irreducible error without moving the
-    least-squares weight.
+    least-squares weight. The copy shares the problem's x, w0, R factor,
+    least-squares weight and residual spectrum.
     """
     if scale < 0.0:
         raise InvalidInputError(f"scale must be >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(problem.y.shape)
     z_in_range = problem.x @ least_squares(problem.x, z)
-    return RegressionProblem(x=problem.x, y=problem.y + scale * (z - z_in_range),
-                             w0=problem.w0)
+    return problem._with_off_range_targets(problem.y + scale * (z - z_in_range))

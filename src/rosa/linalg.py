@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels.
 
-Thin deterministic SVD, orthogonal projections onto column spans, numerical
-rank, and the index-subset sampling used to pick singular directions. All
-functions take and return float64 ndarrays and never mutate their inputs.
+Thin deterministic SVD, singular values, numerical rank, and the
+index-subset sampling used to pick singular directions. All functions take
+and return float64 ndarrays and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -12,14 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, RankTooLargeError, SingularMatrixError
+from .errors import InvalidInputError, RankTooLargeError
 
 Array = np.ndarray
-
-# Relative threshold under which a singular value is treated as zero when
-# deciding column rank for projections.
-_RANK_DEFICIENCY_TOL = 1e-10
-
 
 class SamplingScheme(Enum):
     """How to choose which singular directions become trainable."""
@@ -124,24 +119,3 @@ def sample_indices(count: int, bound: int, scheme: SamplingScheme,
     else:
         raise InvalidInputError(f"unknown sampling scheme {scheme!r}")
     return idx.astype(np.int64)
-
-
-def projection_onto_range(x) -> Array:
-    """Orthogonal projector onto the column span of x, as a dense matrix.
-
-    x must have full column rank; otherwise SingularMatrixError names the
-    offending singular value. The projector is symmetric and idempotent up
-    to roundoff.
-    """
-    x = as_matrix(x, "x")
-    if x.shape[1] > x.shape[0]:
-        raise SingularMatrixError(
-            f"x has more columns than rows ({x.shape}), cannot have full column rank"
-        )
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= _RANK_DEFICIENCY_TOL * s[0]:
-        raise SingularMatrixError(
-            f"x is column-rank deficient: sigma_min={s[-1]:.6e} "
-            f"against sigma_max={s[0]:.6e}"
-        )
-    return u @ u.T

@@ -9,7 +9,9 @@ simple on purpose; shapes stay small in the tests that call these.
 
 import numpy as np
 
+from rosa.errors import SingularMatrixError
 from rosa.exact import RegressionProblem, data_error, least_squares
+from rosa.linalg import as_matrix
 from rosa.network import Mlp, forward, mse_loss
 
 
@@ -94,6 +96,32 @@ def gram_schmidt_projection(x) -> np.ndarray:
         return np.zeros((x.shape[0], x.shape[0]))
     q = np.stack(basis, axis=1)
     return q @ q.T
+
+
+# Relative threshold under which a singular value is treated as zero when
+# deciding the column rank of x for projection_onto_range.
+_RANK_DEFICIENCY_TOL = 1e-10
+
+
+def projection_onto_range(x) -> np.ndarray:
+    """Orthogonal projector onto the column span of x, from its thin SVD.
+
+    x must have full column rank; otherwise SingularMatrixError names the
+    offending singular value. The projector is symmetric and idempotent up
+    to roundoff.
+    """
+    x = as_matrix(x, "x")
+    if x.shape[1] > x.shape[0]:
+        raise SingularMatrixError(
+            f"x has more columns than rows ({x.shape}), cannot have full column rank"
+        )
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    if s[0] == 0.0 or s[-1] <= _RANK_DEFICIENCY_TOL * s[0]:
+        raise SingularMatrixError(
+            f"x is column-rank deficient: sigma_min={s[-1]:.6e} "
+            f"against sigma_max={s[0]:.6e}"
+        )
+    return u @ u.T
 
 
 def finite_difference_gradients(net: Mlp, x, y, h: float = 1e-5) -> list[dict]:

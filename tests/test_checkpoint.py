@@ -162,3 +162,73 @@ class TestTensorRecords:
         net.layers[0].adapter.w[0, 0] = np.nextafter(1.0, 2.0)
         restored = decode_checkpoint(encode_checkpoint(net))
         assert restored.layers[0].adapter.w[0, 0] == np.nextafter(1.0, 2.0)
+
+
+def reloaded(net: Mlp) -> Mlp:
+    return decode_checkpoint(encode_checkpoint(net))
+
+
+def square_rosa_net(seed: int) -> Mlp:
+    rng = rng_for(seed)
+    adapter = rosa_init(rng.standard_normal((8, 8)), rank=2,
+                        scheme=SamplingScheme.TOP, rng=rng)
+    return Mlp(layers=[DenseLayer(adapter=adapter, bias=np.zeros(8),
+                                  activation=Activation.IDENTITY)])
+
+
+class TestSelfConsistency:
+    @pytest.mark.parametrize("layer, name", [(0, "a"), (1, "w_frozen"),
+                                             (2, "scale"), (3, "w_original")])
+    def test_non_finite_tensor_rejected(self, layer, name):
+        net = mixed_net(20)
+        getattr(net.layers[layer].adapter, name).flat[0] = np.nan
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            reloaded(net)
+
+    def test_infinite_bias_rejected(self):
+        net = mixed_net(21)
+        net.layers[1].bias[0] = np.inf
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            reloaded(net)
+
+    def test_rosa_original_shape_rejected(self):
+        net = square_rosa_net(22)
+        net.layers[0].adapter.w_original = np.zeros((3, 3))
+        with pytest.raises(CheckpointFormatError, match="w_original"):
+            reloaded(net)
+
+    def test_full_original_shape_rejected(self):
+        net = mixed_net(23)
+        net.layers[3].adapter.w_original = np.zeros((5, 2))
+        with pytest.raises(CheckpointFormatError, match="w_original"):
+            reloaded(net)
+
+    def test_factor_wider_than_rank_rejected(self):
+        net = square_rosa_net(24)
+        net.layers[0].adapter.a = np.ones((8, 5))
+        net.layers[0].adapter.b = np.ones((5, 8))
+        with pytest.raises(CheckpointFormatError, match="'a'"):
+            reloaded(net)
+
+    def test_b_rows_off_rank_rejected(self):
+        net = mixed_net(25)
+        ad = net.layers[1].adapter
+        ad.b = ad.b[:2]
+        with pytest.raises(CheckpointFormatError, match="'b'"):
+            reloaded(net)
+
+    @pytest.mark.parametrize("rank", [0, 9])
+    def test_rank_outside_budget_rejected(self, rank):
+        net = square_rosa_net(26)
+        ad = net.layers[0].adapter
+        ad.rank = rank
+        ad.a = np.ones((8, rank))
+        ad.b = np.ones((rank, 8))
+        with pytest.raises(CheckpointFormatError, match="rank"):
+            reloaded(net)
+
+    def test_ia3_scale_length_rejected(self):
+        net = mixed_net(27)
+        net.layers[2].adapter.scale = np.ones(6)
+        with pytest.raises(CheckpointFormatError, match="scale"):
+            reloaded(net)

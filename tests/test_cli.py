@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rosa.cli
-from rosa.checkpoint import load_checkpoint
+from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.cli import main
 from rosa.network import predict
 
@@ -114,6 +114,18 @@ class TestExitCodes:
         bad.write_bytes(b"not a checkpoint at all")
         assert main(["spectrum", str(bad), str(bad),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_non_finite_checkpoint_is_4(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path), "--out", str(run)])
+        net = load_checkpoint(run / "model.rsa1")
+        net.layers[0].adapter.a[0, 0] = np.nan
+        bad = tmp_path / "nan.rsa1"
+        save_checkpoint(net, bad)
+        capsys.readouterr()
+        assert main(["spectrum", str(run / "initial.rsa1"), str(bad),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert "non-finite" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_4(self, tmp_path):
         absent = str(tmp_path / "absent.rsa1")

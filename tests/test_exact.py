@@ -7,6 +7,7 @@ from rosa.errors import (
     InvalidInputError,
     NumericError,
     RankTooLargeError,
+    ShapeError,
     SingularMatrixError,
 )
 from rosa.exact import (
@@ -29,6 +30,7 @@ from rosa.linalg import SvdFactors, singular_values
 from oracles import (
     gd_rank_limited,
     gram_schmidt_projection,
+    projection_onto_range,
     reference_error_floor,
     truncated_move_weights,
 )
@@ -311,7 +313,103 @@ class TestCachedFactors:
                 arr[0] = 0.0
 
 
+def direct_error(problem: RegressionProblem, w) -> float:
+    r = problem.x @ w - problem.y
+    return float(np.sum(r * r))
+
+
+class TestDataErrorFromR:
+    INSTANCES = {
+        "random": lambda: random_instance(30, 6, 4, seed=40),
+        "realizable": lambda: realizable_instance(30, 6, 4, residual_rank=3,
+                                                  seed=41),
+        "wide": lambda: random_instance(30, 4, 9, seed=42),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INSTANCES))
+    @pytest.mark.parametrize("where", ["w0", "w_ls", "random"])
+    def test_matches_direct_product(self, kind, where):
+        p = self.INSTANCES[kind]()
+        w = {"w0": p.w0, "w_ls": p.w_ls,
+             "random": rng_for(43).standard_normal(p.w0.shape)}[where]
+        floor = 1e-14 * float(np.sum(p.y ** 2))
+        assert np.isclose(data_error(p, w), direct_error(p, w),
+                          rtol=1e-12, atol=floor)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4,), (4, 6)])
+    def test_wrong_weight_shape_rejected(self, shape):
+        p = random_instance(30, 6, 4, seed=45)
+        with pytest.raises(ShapeError):
+            data_error(p, np.ones(shape))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((1, 2), (2, 4)),   # a @ b is 1 x p, would broadcast over w0
+        ((6, 2), (2, 1)),   # a @ b is d x 1, would broadcast over w0
+        ((6, 2), (3, 4)),   # inner sizes disagree
+        ((6,), (4,)),       # vectors, not factors
+    ])
+    def test_mismatched_factors_rejected(self, a_shape, b_shape):
+        p = random_instance(30, 6, 4, seed=46)
+        with pytest.raises(ShapeError):
+            achieved_error(p, np.ones(a_shape), np.ones(b_shape))
+
+
 class TestNoiseInjection:
+    def test_shares_base_factors(self):
+        base = random_instance(14, 5, 4, seed=47)
+        noisy = with_off_range_noise(base, scale=2.0, seed=48)
+        assert noisy.x is base.x
+        assert noisy.w0 is base.w0
+        assert noisy.x_r is base.x_r
+        assert noisy.w_ls is base.w_ls
+        assert noisy.residual_sigma is base.residual_sigma
+
+    def test_no_second_rank_check(self, monkeypatch):
+        base = realizable_instance(20, 6, 4, residual_rank=2, seed=49)
+        predicted_rounds(base, 1)  # the suite reads the base spectrum first
+        calls = []
+        post_init = RegressionProblem.__post_init__
+        spectrum = rosa.exact.singular_values
+
+        def counting_post_init(self):
+            calls.append("post_init")
+            post_init(self)
+
+        def counting_spectrum(w):
+            calls.append("singular_values")
+            return spectrum(w)
+
+        monkeypatch.setattr(RegressionProblem, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rosa.exact, "singular_values", counting_spectrum)
+        noisy = with_off_range_noise(base, scale=1.0, seed=50)
+        predicted_rounds(noisy, 1)
+        assert calls == []
+
+    def test_shared_weight_is_noisy_least_squares(self):
+        base = random_instance(14, 5, 4, seed=51)
+        noisy = with_off_range_noise(base, scale=3.0, seed=52)
+        assert np.allclose(noisy.w_ls, least_squares(noisy.x, noisy.y),
+                           rtol=0.0, atol=1e-10)
+
+    def test_noise_is_off_range(self):
+        base = random_instance(14, 5, 4, seed=53)
+        noisy = with_off_range_noise(base, scale=2.0, seed=54)
+        proj = projection_onto_range(base.x)
+        assert np.allclose(proj @ (noisy.y - base.y), 0.0, atol=1e-10)
+        assert not np.allclose(noisy.y, base.y)
+
+    def test_noisy_error_matches_direct_product(self):
+        base = realizable_instance(20, 6, 4, residual_rank=2, seed=55)
+        noisy = with_off_range_noise(base, scale=1.0, seed=56)
+        for w in (noisy.w0, noisy.w_ls, rng_for(57).standard_normal((6, 4))):
+            assert np.isclose(data_error(noisy, w), direct_error(noisy, w),
+                              rtol=1e-12, atol=0.0)
+
+    def test_non_finite_noise_rejected(self):
+        base = random_instance(10, 4, 3, seed=58)
+        with pytest.raises(InvalidInputError):
+            with_off_range_noise(base, scale=float("inf"), seed=59)
+
     def test_least_squares_weight_unmoved(self):
         base = random_instance(14, 5, 4, seed=27)
         noisy = with_off_range_noise(base, scale=2.0, seed=28)

@@ -7,14 +7,13 @@ from rosa.linalg import (
     SamplingScheme,
     as_matrix,
     numerical_rank,
-    projection_onto_range,
     sample_indices,
     singular_values,
     svd,
 )
 
 from oracles import (gram_schmidt_projection, jacobi_singular_values,
-                     loop_sign_convention)
+                     loop_sign_convention, projection_onto_range)
 
 SHAPES = [(3, 3), (5, 3), (3, 5), (7, 7), (8, 2), (2, 8)]
 

@@ -7,8 +7,23 @@ base class at the CLI boundary and map it to an exit code.
 from __future__ import annotations
 
 
+def _rebuild(cls, args: tuple, fields: dict) -> "RosaError":
+    """Unpickle a RosaError: restore its args and fields without __init__."""
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(fields)
+    return error
+
+
 class RosaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Errors pickle with their message and fields, so one raised in a worker
+    process re-raises unchanged in its parent. (The default reduction calls
+    cls(*args), which fails for subclasses whose __init__ takes fields.)
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class InvalidInputError(RosaError, ValueError):

@@ -5,8 +5,8 @@ pytest's capture, then asserts the details, so a plain run of this file
 shows eleven PASS/FAIL verdicts with wall times whatever else is going on.
 
 The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
-a module fixture; expect most of a minute there, everything else is
-seconds.
+a module fixture, split over one process per CPU; expect about 20 s there
+on two CPUs, everything else is seconds.
 """
 
 import json

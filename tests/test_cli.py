@@ -1,10 +1,13 @@
 import csv
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 import rosa.cli
+import rosa.experiments
 from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.cli import main
 from rosa.network import predict
@@ -231,3 +234,24 @@ class TestGrids:
         grid = json.loads((out / "schemes.json").read_text())
         assert [row["scheme"] for row in grid["rows"]] == \
                ["top", "bottom", "random"]
+
+    def test_dead_worker_is_3(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        real = rosa.experiments.run_training
+
+        def dying(config, task):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(config, task)
+
+        monkeypatch.setattr(rosa.experiments, "run_training", dying)
+        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 2)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"data": TINY_DATA}))
+        code = main(["schemes", "--config", str(cfg), "--rank", "2",
+                     "--epochs", "1", "--out", str(tmp_path / "s")])
+        assert code == 3
+        assert "exited with code 1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -1,14 +1,21 @@
 import json
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import rosa.exact
 import rosa.experiments
-from rosa.errors import InvalidInputError, NumericError
+from rosa.errors import (ContractViolationError, InvalidInputError,
+                         NumericError, RosaError, ShapeError)
 from rosa.experiments import (
     LR_GRID,
+    run_ablation_grid,
     run_method_comparison,
+    run_scheme_grid,
     run_theorem_suite,
     spectrum_report,
     strip_results,
@@ -144,6 +151,257 @@ class TestLrSweep:
         for cell in cells:
             assert cell["best_lr"] == 1e-3
             assert [row["diverged"] for row in cell["lr_rows"]] == [True, False]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker count the cell runner sees; returns the pids it forks
+    from then on. Every forked child must be reaped by the end of the test.
+    """
+    forked, every_pid = [], []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+            every_pid.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    def use(count):
+        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: count)
+        forked.clear()
+        return forked
+
+    yield use
+    assert multiprocessing.active_children() == []
+    for pid in every_pid:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def assert_same_net(got, want):
+    assert len(got.layers) == len(want.layers)
+    for mine, theirs in zip(got.layers, want.layers):
+        assert type(mine.adapter) is type(theirs.adapter)
+        assert mine.activation == theirs.activation
+        assert np.array_equal(mine.bias, theirs.bias)
+        for name, value in vars(mine.adapter).items():
+            other = getattr(theirs.adapter, name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, other), name
+            else:
+                assert value == other, name
+
+
+def assert_same_result(got, want):
+    assert got.summary == want.summary
+    assert got.records == want.records
+    assert_same_net(got.net, want.net)
+    assert_same_net(got.initial_net, want.initial_net)
+
+
+class TestWorkerCount:
+    # 4 rates: 3 workers deal them 2 / 1 / 1, and grids get uneven shares.
+    LRS = (3e-2, 1e-2, 1e-3, 1e-4)
+
+    def run_both(self, workers, run):
+        workers(1)
+        inline = run()
+        forked = workers(3)
+        split = run()
+        assert len(forked) == 2
+        return inline, split
+
+    def test_sweep(self, workers):
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
+        inline, split = self.run_both(
+            workers, lambda: sweep_learning_rates(task, base, self.LRS))
+        assert [row["lr"] for row in split["rows"]] == list(self.LRS)
+        assert split["rows"] == inline["rows"]
+        assert split["best_lr"] == inline["best_lr"]
+        assert_same_result(split["best"], inline["best"])
+
+    def test_method_comparison(self, workers):
+        task = generate_synthetic(SMALL)
+        entries = [("ft", None), ("rosa", 2), ("lora", 2)]
+        inline, split = self.run_both(
+            workers, lambda: run_method_comparison(
+                task, entries, epochs=2, lrs=self.LRS, batch_size=16,
+                factorize_every=2))
+        assert [(c["method"], c["rank"]) for c in split] == entries
+        for got, want in zip(split, inline):
+            assert strip_results([got]) == strip_results([want])
+            assert_same_result(got["result"], want["result"])
+
+    def test_ablation_grid(self, workers):
+        task = generate_synthetic(SMALL)
+        inline, split = self.run_both(
+            workers, lambda: run_ablation_grid(task, 2, epochs=2, lrs=self.LRS,
+                                               batch_size=16))
+        assert split == inline
+
+    def test_scheme_grid(self, workers):
+        task = generate_synthetic(SMALL)
+        inline, split = self.run_both(
+            workers, lambda: run_scheme_grid(task, 2, epochs=2, lrs=self.LRS,
+                                             batch_size=16))
+        assert split == inline
+
+    def test_no_more_workers_than_cells(self, workers):
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        forked = workers(8)
+        sweep = sweep_learning_rates(task, base, (1e-2, 1e-3))
+        assert len(forked) == 1
+        assert len(sweep["rows"]) == 2
+
+    def test_inline_beside_other_threads(self, workers):
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            forked = workers(3)
+            sweep = sweep_learning_rates(task, base, (1e-2, 1e-3))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forked == []
+        assert len(sweep["rows"]) == 2
+
+    @pytest.mark.parametrize("env, per_process", [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+        ({"MKL_NUM_THREADS": "junk"}, None),
+    ])
+    def test_workers_share_the_cpus_with_blas(self, monkeypatch, env,
+                                              per_process):
+        # BLAS runs one thread per CPU unless the environment says otherwise.
+        for var in rosa.experiments._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cpus = len(os.sched_getaffinity(0))
+        expected = 1 if per_process is None else max(1, cpus // per_process)
+        assert rosa.experiments._worker_count() == expected
+
+
+class TestWorkerFailures:
+    LRS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+    @staticmethod
+    def patch_runs(monkeypatch, action):
+        """Route every run through action(config, in_child) first."""
+        parent = os.getpid()
+        real = rosa.experiments.run_training
+
+        def patched(config, task):
+            action(config, os.getpid() != parent)
+            return real(config, task)
+
+        monkeypatch.setattr(rosa.experiments, "run_training", patched)
+
+    def test_diverged_in_a_child(self, monkeypatch, workers):
+        def action(config, in_child):
+            if config.lr == 1e-3:
+                assert in_child
+                raise NumericError("diverged")
+
+        self.patch_runs(monkeypatch, action)
+        workers(3)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=1, batch_size=16)
+        sweep = sweep_learning_rates(task, base, self.LRS)
+        assert [row["diverged"] for row in sweep["rows"]] == \
+               [False, True, False, False]
+        assert sweep["rows"][1]["final_val_loss"] is None
+        assert sweep["best_lr"] != 1e-3
+
+    @pytest.mark.parametrize("error", [
+        ContractViolationError("drift bound violated"),
+        ShapeError("operands differ", (3, 4), (4,)),
+    ], ids=lambda e: type(e).__name__)
+    def test_child_error_re_raised(self, monkeypatch, workers, error):
+        def action(config, in_child):
+            if config.lr == 1e-4:
+                assert in_child
+                raise error
+
+        self.patch_runs(monkeypatch, action)
+        workers(3)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        with pytest.raises(type(error)) as caught:
+            sweep_learning_rates(task, base, self.LRS)
+        assert str(caught.value) == str(error)
+        assert vars(caught.value) == vars(error)
+
+    def test_unpicklable_child_error_keeps_its_text(self, monkeypatch,
+                                                    workers):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        def action(config, in_child):
+            if config.lr == 1e-4:
+                raise LocalError("lost detail")
+
+        self.patch_runs(monkeypatch, action)
+        workers(3)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        with pytest.raises(RosaError, match="LocalError: lost detail"):
+            sweep_learning_rates(task, base, self.LRS)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_earliest_failing_cell_wins(self, monkeypatch, workers, count):
+        # With 3 workers, cell 3 fails in this process and cell 1 in a child.
+        def action(config, in_child):
+            if config.lr == 1e-3:
+                raise ShapeError("cell 1", (1,), (2,))
+            if config.lr == 1e-5:
+                raise ContractViolationError("cell 3")
+
+        self.patch_runs(monkeypatch, action)
+        workers(count)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        with pytest.raises(ShapeError, match="cell 1"):
+            sweep_learning_rates(task, base, self.LRS)
+
+    def test_dead_child_raises(self, monkeypatch, workers):
+        def action(config, in_child):
+            if in_child:
+                os._exit(1)
+
+        self.patch_runs(monkeypatch, action)
+        workers(2)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        with pytest.raises(RosaError, match="exited with code 1"):
+            sweep_learning_rates(task, base, self.LRS)
+
+    def test_interrupt_kills_children(self, monkeypatch, workers):
+        def action(config, in_child):
+            if in_child:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        self.patch_runs(monkeypatch, action)
+        workers(3)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sweep_learning_rates(task, base, self.LRS)
+        assert time.perf_counter() - started < 30
 
 
 class TestMethodComparison:

@@ -4,7 +4,8 @@ The package splits into small layers: linalg (deterministic SVD and
 rank), adapters (the weight parameterizations), network (MLP with
 hand-written gradients), optim (SGD, AdamW), exact (closed-form solvers
 for the linear case), synthetic/training/experiments (the desk-scale
-harness), checkpoint (binary model files), and cli (the `rosa` command).
+harness), checkpoint (binary model files), fileio (atomic output files),
+and cli (the `rosa` command).
 """
 
 from .adapters import (FullyTrainable, Ia3Adapter, LoraAdapter, RosaAdapter,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .adapters import (FullyTrainable, Ia3Adapter, LoraAdapter, RosaAdapter)
 from .errors import CheckpointFormatError
+from .fileio import atomic_open
 from .linalg import Array, SamplingScheme
 from .network import Activation, DenseLayer, Mlp
 
@@ -95,7 +96,7 @@ def encode_checkpoint(net: Mlp) -> bytes:
 
 def save_checkpoint(net: Mlp, path) -> None:
     data = encode_checkpoint(net)
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(data)
 
 

@@ -3,7 +3,8 @@
 Subcommands: train, theorem, spectrum, ablate, schemes. Configuration for
 training comes from an optional JSON file (keys mirror TrainConfig, with an
 optional "data" object mirroring SyntheticSpec) plus flag overrides; flags
-win. Exit codes: 0 success, 2 bad configuration, 3 numeric failure,
+win. Each JSON value is checked against its field's type before any config
+is built. Exit codes: 0 success, 2 bad configuration, 3 numeric failure,
 4 I/O or file-format failure.
 """
 
@@ -13,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +26,53 @@ from .errors import (CheckpointFormatError, ConfigError, InvalidInputError,
 from .experiments import (run_ablation_grid, run_scheme_grid,
                           run_theorem_suite, spectrum_report,
                           write_spectrum_csv)
+from .fileio import write_json
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import (TrainConfig, run_training, write_metrics_csv,
                        write_summary_json)
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: int but not bool,
+    float also from int, str, bool, tuple of int from a JSON list, and
+    None only where the annotation allows it."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    return isinstance(value, hint)
+
+
+def _typed_fields(cls, raw: dict, what: str) -> dict:
+    """Keyword arguments for dataclass cls from one JSON object.
+
+    Each value is checked against its field's annotation and JSON lists
+    become tuples; an unknown key or a mistyped value raises ConfigError
+    naming the field.
+    """
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(sorted(unknown)[0], f"unknown {what}")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(key, f"must be {fields[key]}, got {value!r}")
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in raw.items()}
+
+
+def _data_fields(data_cfg) -> dict:
+    if not isinstance(data_cfg, dict):
+        raise ConfigError("data", "must be a JSON object")
+    return _typed_fields(SyntheticSpec, data_cfg, "data config field")
 
 
 def _load_config_file(path: str) -> dict:
@@ -48,14 +91,8 @@ def _load_config_file(path: str) -> dict:
 def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_cfg = file_cfg.pop("data", {})
-    if not isinstance(data_cfg, dict):
-        raise ConfigError("data", "must be a JSON object")
-    unknown = set(file_cfg) - _field_names(TrainConfig)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown config field")
-    unknown = set(data_cfg) - _field_names(SyntheticSpec)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown data config field")
+    train_cfg = _typed_fields(TrainConfig, file_cfg, "config field")
+    data_cfg = _data_fields(data_cfg)
     overrides = {
         "method": args.method,
         "rank": args.rank,
@@ -69,10 +106,8 @@ def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
     }
     for key, value in overrides.items():
         if value is not None:
-            file_cfg[key] = value
-    if "layer_dims" in data_cfg:
-        data_cfg["layer_dims"] = tuple(data_cfg["layer_dims"])
-    return TrainConfig(**file_cfg), SyntheticSpec(**data_cfg)
+            train_cfg[key] = value
+    return TrainConfig(**train_cfg), SyntheticSpec(**data_cfg)
 
 
 def _ensure_out(args) -> Path:
@@ -123,9 +158,7 @@ def cmd_theorem(args) -> int:
     print(f"all_ok={report['all_ok']}")
     if args.out:
         out = _ensure_out(args)
-        with open(out / "theorem.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report, out / "theorem.json")
         print(f"wrote {out / 'theorem.json'}")
     return 0 if report["all_ok"] else 3
 
@@ -151,15 +184,7 @@ def cmd_spectrum(args) -> int:
 
 def _grid_common(args) -> tuple:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    data_cfg = file_cfg.get("data", {})
-    if not isinstance(data_cfg, dict):
-        raise ConfigError("data", "must be a JSON object")
-    unknown = set(data_cfg) - _field_names(SyntheticSpec)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown data config field")
-    if "layer_dims" in data_cfg:
-        data_cfg["layer_dims"] = tuple(data_cfg["layer_dims"])
-    spec = SyntheticSpec(**data_cfg)
+    spec = SyntheticSpec(**_data_fields(file_cfg.get("data", {})))
     task = generate_synthetic(spec)
     rank = args.rank if args.rank is not None else 12
     epochs = args.epochs if args.epochs is not None else 100
@@ -177,9 +202,7 @@ def cmd_ablate(args) -> int:
     print(f"expected ordering (full <= init+factorize <= init-only) held: "
           f"{grid['expected_order_held']}")
     out = _ensure_out(args)
-    with open(out / "ablate.json", "w", encoding="utf-8") as fh:
-        json.dump(grid, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(grid, out / "ablate.json")
     print(f"wrote {out / 'ablate.json'}")
     return 0
 
@@ -192,9 +215,7 @@ def cmd_schemes(args) -> int:
         print(f"{row['scheme']:>8} {row['best_lr']:>8} "
               f"{row['final_val_loss']:>14.6e}")
     out = _ensure_out(args)
-    with open(out / "schemes.json", "w", encoding="utf-8") as fh:
-        json.dump(grid, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(grid, out / "schemes.json")
     print(f"wrote {out / 'schemes.json'}")
     return 0
 

@@ -17,15 +17,17 @@ singular directions per round until e is exhausted.
 
 x = QR with orthonormal Q gives ||x m||_F = ||R m||_F for every m, so x @ m
 and the d x p matrix R @ m share singular values and right singular
-vectors. Each x is factored once: construction takes R and checks the
-column rank from its singular values, and each problem solves least
-squares once (RegressionProblem.x_r, .w_ls, .residual_sigma). Every
-spectrum and every greedy round works on R @ m instead of the n x p matrix
-x @ m, and so does every data error: x @ w_ls - y is orthogonal to the
-range of x, so ||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible
-error, which each problem computes once and which is the only n-row
-product after setup. The off-range noisy variant of a problem shares its
-base's factors, since the noise moves none of them.
+vectors. Each x is factored once: construction takes Q and R from one
+reduced QR and checks the column rank from the singular values of R, and
+each problem solves least squares once, as w_ls = R^-1 Q^T y
+(RegressionProblem.x_q, .x_r, .w_ls, .residual_sigma). Every spectrum and
+every greedy round works on R @ m instead of the n x p matrix x @ m, and
+so does every data error: x @ w_ls - y is orthogonal to the range of x, so
+||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible error, which
+each problem computes once. The off-range noisy variant of a problem
+projects its draw off the range of x as z - Q (Q^T z) and shares its
+base's factors, since the noise moves none of them. least_squares, the
+general lstsq route, is kept for callers outside the suite.
 
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
@@ -34,7 +36,7 @@ with identical inputs return identical arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,16 +54,19 @@ RESIDUAL_RANK_TOL = 1e-9
 class RegressionProblem:
     """One linear adaptation instance: minimize ||x (w0 + a b) - y||_F^2.
 
-    x must have full column rank. Construction factors x = QR and checks
-    this on the singular values of R, which are those of x; a violation
-    raises SingularMatrixError naming the offending singular value. The
-    cached values below assume x, y and w0 are not mutated after
-    construction.
+    x must have full column rank. Construction factors x = QR (x_q is the
+    orthonormal n x d factor, x_r the upper-triangular d x d one, both
+    read-only) and checks the rank on the singular values of R, which are
+    those of x; a violation raises SingularMatrixError naming the offending
+    singular value. The cached values below assume x, y and w0 are not
+    mutated after construction.
     """
 
     x: Array
     y: Array
     w0: Array
+    x_q: Array = field(init=False, repr=False, compare=False)
+    x_r: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = as_matrix(self.x, "x")
@@ -80,7 +85,10 @@ class RegressionProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w0", w0)
-        s = singular_values(self.x_r)
+        q, r = np.linalg.qr(x, mode="reduced")
+        object.__setattr__(self, "x_q", _read_only(q))
+        object.__setattr__(self, "x_r", _read_only(r))
+        s = singular_values(r)
         if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
             raise SingularMatrixError(
                 f"x is column-rank deficient: sigma_min={s[-1]:.6e} "
@@ -105,13 +113,9 @@ class RegressionProblem:
 
     @cached_property
     def w_ls(self) -> Array:
-        """Least-squares weight argmin_w ||x w - y||_F^2, solved once."""
-        return _read_only(least_squares(self.x, self.y))
-
-    @cached_property
-    def x_r(self) -> Array:
-        """Upper-triangular d x d factor R of x = QR, taken at construction."""
-        return _read_only(np.linalg.qr(self.x, mode="r"))
+        """Least-squares weight argmin_w ||x w - y||_F^2, solved once as
+        R^-1 Q^T y."""
+        return _read_only(np.linalg.solve(self.x_r, self.x_q.T @ self.y))
 
     @cached_property
     def residual_sigma(self) -> Array:
@@ -126,15 +130,16 @@ class RegressionProblem:
     def _with_off_range_targets(self, y: Array) -> RegressionProblem:
         """Problem on the same x and w0 with targets y, sharing the factors.
 
-        y - self.y must be orthogonal to the range of x. Then w_ls, x_r and
-        residual_sigma carry over unchanged and x needs no second rank
-        check, so __post_init__ is skipped; the new problem computes only
-        its own irreducible error.
+        y - self.y must be orthogonal to the range of x. Then w_ls, x_q,
+        x_r and residual_sigma carry over unchanged and x needs no second
+        rank check, so __post_init__ is skipped; the new problem computes
+        only its own irreducible error.
         """
         y = as_matrix(y, "y")
         new = object.__new__(type(self))
-        new.__dict__.update(x=self.x, y=y, w0=self.w0, x_r=self.x_r,
-                            w_ls=self.w_ls, residual_sigma=self.residual_sigma,
+        new.__dict__.update(x=self.x, y=y, w0=self.w0, x_q=self.x_q,
+                            x_r=self.x_r, w_ls=self.w_ls,
+                            residual_sigma=self.residual_sigma,
                             irreducible=_squared_norm(self.x @ self.w_ls - y))
         return new
 
@@ -364,12 +369,14 @@ def with_off_range_noise(problem: RegressionProblem, scale: float,
 
     Adds scale times the component of a Gaussian draw orthogonal to the
     columns of x, which raises the irreducible error without moving the
-    least-squares weight. The copy shares the problem's x, w0, R factor,
-    least-squares weight and residual spectrum.
+    least-squares weight. The component is z - Q (Q^T z), with Q the
+    problem's own orthonormal factor. The copy shares the problem's x, w0,
+    Q and R factors, least-squares weight and residual spectrum.
     """
     if scale < 0.0:
         raise InvalidInputError(f"scale must be >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(problem.y.shape)
-    z_in_range = problem.x @ least_squares(problem.x, z)
-    return problem._with_off_range_targets(problem.y + scale * (z - z_in_range))
+    q = problem.x_q
+    off_range = z - q @ (q.T @ z)
+    return problem._with_off_range_targets(problem.y + scale * off_range)

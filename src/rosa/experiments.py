@@ -23,6 +23,7 @@ from .errors import InvalidInputError, NumericError, RosaError
 from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
                     rrr_optimum, with_off_range_noise)
+from .fileio import atomic_open
 from .linalg import singular_values
 from .network import Mlp
 from .synthetic import SyntheticTask
@@ -414,7 +415,7 @@ def write_spectrum_csv(report: list[dict], path) -> None:
     for entry in report:
         for j, (s, c) in enumerate(zip(entry["sigma"], entry["cumulative"])):
             lines.append(f"{entry['layer']},{j},{s!r},{c!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -56,6 +56,8 @@ class SyntheticSpec:
             raise ConfigError("n_train", f"must be >= 1, got {self.n_train}")
         if self.n_val < 1:
             raise ConfigError("n_val", f"must be >= 1, got {self.n_val}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -3,12 +3,12 @@
 The loop is deterministic: a single Generator seeded from the config
 drives adapter initialization, batch shuffling, and subspace re-sampling,
 in a fixed consumption order, so identical configs give bit-identical
-metric sequences.
+metric sequences. Per-layer drift ranks cost one SVD per layer, so they
+are taken only on epochs with a factorize event and on the last epoch.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -17,6 +17,7 @@ import numpy as np
 from .adapters import (RosaAdapter, full_init, ia3_init, lora_init,
                        matrix_param_count, rosa_init, trainable_reduction)
 from .errors import ConfigError, ContractViolationError, NumericError
+from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
 from .linalg import SamplingScheme, numerical_rank
 from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F401
@@ -94,6 +95,8 @@ class TrainConfig:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
     def scheme_enum(self) -> SamplingScheme:
         return SamplingScheme(self.scheme)
@@ -102,7 +105,8 @@ class TrainConfig:
 @dataclass
 class MetricsRecord:
     """One row per epoch. residual_ranks counts, per layer, the numerical
-    rank of the effective weight's drift from the pretrained matrix."""
+    rank of the effective weight's drift from the pretrained matrix; it is
+    None except on factorize-event epochs and the last epoch."""
 
     epoch: int
     step: int
@@ -110,7 +114,7 @@ class MetricsRecord:
     val_loss: float
     trainable_params: int
     factorize_event: bool
-    residual_ranks: tuple[int, ...]
+    residual_ranks: tuple[int, ...] | None
 
 
 @dataclass
@@ -178,9 +182,10 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
 
     Returns the per-epoch records, the trained net, a snapshot of the net
     at initialization, and a summary dict. Raises NumericError the moment
-    a loss stops being finite. For LoRA runs the final drift of every
-    layer is checked to have numerical rank at most the configured rank;
-    a violation raises ContractViolationError.
+    a loss stops being finite. Records carry drift ranks on factorize-event
+    epochs and on the last epoch only. For LoRA runs the final drift of
+    every layer is checked to have numerical rank at most the configured
+    rank; a violation raises ContractViolationError.
     """
     rng = np.random.default_rng(config.seed)
     net = adapt_network(task.base, config, rng)
@@ -233,7 +238,8 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
             val_loss=val_loss,
             trainable_params=trainable_params,
             factorize_event=event,
-            residual_ranks=_drift_ranks(net, initial_weights),
+            residual_ranks=(_drift_ranks(net, initial_weights)
+                            if event or epoch == config.epochs else None),
         ))
     lora_check = None
     if config.method == "lora":
@@ -281,10 +287,12 @@ def _summarize(config: TrainConfig, net: Mlp, records: list[MetricsRecord],
 
 def write_metrics_csv(records: list[MetricsRecord], path) -> None:
     """Write one CSV row per record. Floats use repr, so equal runs give
-    byte-identical files."""
+    byte-identical files. A record without drift ranks gets empty rank
+    cells; the rank columns follow the first record that has ranks."""
     if not records:
         raise ValueError("no records to write")
-    n_layers = len(records[0].residual_ranks)
+    n_layers = next((len(r.residual_ranks) for r in records
+                     if r.residual_ranks is not None), 0)
     header = ["epoch", "step", "train_loss", "val_loss", "trainable_params",
               "factorize_event"]
     header += [f"residual_rank_{i}" for i in range(n_layers)]
@@ -292,13 +300,12 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
     for r in records:
         row = [str(r.epoch), str(r.step), repr(r.train_loss), repr(r.val_loss),
                str(r.trainable_params), str(int(r.factorize_event))]
-        row += [str(v) for v in r.residual_ranks]
+        ranks = r.residual_ranks
+        row += [str(v) for v in ranks] if ranks is not None else [""] * n_layers
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_summary_json(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)

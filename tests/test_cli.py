@@ -90,6 +90,48 @@ class TestExitCodes:
         assert code == 2
         assert "methd" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, field", [
+        ({"method": "ft", "lr": "x"}, "lr"),
+        ({"method": "ft", "epochs": 1.5}, "epochs"),
+        ({"method": "ft", "batch_size": 2.5}, "batch_size"),
+        ({"method": "ft", "seed": -1}, "seed"),
+        ({"method": "rosa", "rank": "abc"}, "rank"),
+        ({"data": {"layer_dims": "ab"}}, "layer_dims"),
+        ({"data": {"n_train": None}}, "n_train"),
+    ])
+    def test_mistyped_config_value_is_2(self, tmp_path, capsys, config, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: config field '{field}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    @pytest.mark.parametrize("data, field", [
+        ({"layer_dims": [6, 8.5, 4]}, "layer_dims"),
+        ({"drift_scale": True}, "drift_scale"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_grid_mistyped_data_is_2(self, tmp_path, capsys, command, data,
+                                     field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"data": data}))
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: config field '{field}'" in capsys.readouterr().err
+
+    def test_well_typed_values_accepted(self, tmp_path):
+        # An integer is a valid float and an optional rank may be null.
+        cfg = write_config(tmp_path, method="ft", rank=None, lr=1,
+                           epochs=1, reset_moments_on_factorize=False,
+                           data=dict(TINY_DATA, drift_scale=2))
+        assert main(["train", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_invalid_combination_is_2(self, tmp_path):
         code = main(["train", "--method", "ft", "--rank", "4",
                      "--out", str(tmp_path / "o")])

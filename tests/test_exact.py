@@ -269,26 +269,35 @@ class TestGreedyIteration:
 
 
 class TestCachedFactors:
-    def test_least_squares_solved_once(self, monkeypatch):
+    def test_no_least_squares_call(self, monkeypatch):
+        # w_ls comes from the QR taken at construction, not from lstsq.
         calls = []
         solve = rosa.exact.least_squares
+        lstsq = np.linalg.lstsq
 
         def counting(x, y):
-            calls.append(1)
+            calls.append("least_squares")
             return solve(x, y)
 
+        def counting_lstsq(*args, **kwargs):
+            calls.append("lstsq")
+            return lstsq(*args, **kwargs)
+
         monkeypatch.setattr(rosa.exact, "least_squares", counting)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         p = realizable_instance(22, 7, 5, residual_rank=4, seed=34)
         rrr_optimum(p, 2)
         irreducible_error(p)
         lora_error_lower_bound(p, 2)
         predicted_rounds(p, 2)
         rosa_exact_iterate(p, rank=2, max_steps=3)
-        assert len(calls) == 1
+        with_off_range_noise(p, scale=1.0, seed=35)
+        assert calls == []
 
     def test_values_match_direct_routes(self):
         p = random_instance(15, 6, 4, seed=35)
-        assert np.array_equal(p.w_ls, least_squares(p.x, p.y))
+        assert np.allclose(p.w_ls, least_squares(p.x, p.y), rtol=1e-12,
+                           atol=1e-14)
         r = p.x_r
         assert r.shape == (6, 6)
         assert np.array_equal(r, np.triu(r))
@@ -296,6 +305,33 @@ class TestCachedFactors:
         direct = singular_values(p.x @ (p.w_ls - p.w0))
         assert p.residual_sigma.shape == (4,)
         assert np.allclose(p.residual_sigma, direct, rtol=1e-12, atol=0.0)
+
+    def test_q_factor(self):
+        p = random_instance(15, 6, 4, seed=38)
+        q = p.x_q
+        assert q.shape == (15, 6)
+        assert np.allclose(q.T @ q, np.eye(6), rtol=0.0, atol=1e-14)
+        assert np.allclose(q @ p.x_r, p.x, rtol=0.0, atol=1e-13)
+        assert np.array_equal(p.x_r, np.linalg.qr(p.x, mode="r"))
+
+    def test_ill_conditioned_matches_lstsq(self):
+        # cond(x) = 1e8: both routes lose about cond * eps of the planted
+        # weight; the QR route may lose no more than lstsq does.
+        rng = rng_for(39)
+        n, d, p = 60, 12, 5
+        u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x = (u * np.geomspace(1.0, 1e-8, d)) @ v.T
+        w_star = rng.standard_normal((d, p))
+        prob = RegressionProblem(x=x, y=x @ w_star, w0=np.zeros((d, p)))
+        assert np.isclose(np.linalg.cond(x), 1e8, rtol=1e-6)
+
+        def rel_error(w):
+            return np.linalg.norm(w - w_star) / np.linalg.norm(w_star)
+
+        lstsq_error = rel_error(least_squares(x, prob.y))
+        assert lstsq_error < 1e-6
+        assert rel_error(prob.w_ls) <= 10.0 * lstsq_error
 
     def test_wide_targets_keep_budget(self):
         # p > d: R @ move is d x p, so the spectrum has d entries, the
@@ -308,7 +344,7 @@ class TestCachedFactors:
 
     def test_cached_arrays_read_only(self):
         p = random_instance(10, 4, 3, seed=37)
-        for arr in (p.w_ls, p.x_r, p.residual_sigma):
+        for arr in (p.w_ls, p.x_q, p.x_r, p.residual_sigma):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -360,6 +396,7 @@ class TestNoiseInjection:
         noisy = with_off_range_noise(base, scale=2.0, seed=48)
         assert noisy.x is base.x
         assert noisy.w0 is base.w0
+        assert noisy.x_q is base.x_q
         assert noisy.x_r is base.x_r
         assert noisy.w_ls is base.w_ls
         assert noisy.residual_sigma is base.residual_sigma

@@ -54,9 +54,9 @@ class TestTheoremSuite:
         assert noisy["plateau_ok"] is True
         assert noisy["irreducible_error"] > 0.0
 
-    def test_two_least_squares_solves(self, monkeypatch):
-        # The instance and the off-range noise projection; the noisy
-        # instance, every rank and every greedy round reuse them.
+    def test_no_least_squares_call(self, monkeypatch):
+        # The instance solves least squares through its own QR, and the
+        # noisy instance, every rank and every greedy round reuse it.
         calls = []
         solve = rosa.exact.least_squares
 
@@ -68,7 +68,7 @@ class TestTheoremSuite:
         report = run_theorem_suite(n=40, d=16, p=8, residual_rank=6,
                                    ranks=(1, 2, 3, 6), seed=0)
         assert report["all_ok"] is True
-        assert len(calls) == 2
+        assert calls == []
 
     def test_benchmark_size_round_counts(self):
         # The exact workload of the benchmark (perfbench/fingerprint.json):

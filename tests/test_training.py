@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+import rosa.training
 from rosa.adapters import RosaAdapter
 from rosa.errors import ConfigError, NumericError
 from rosa.linalg import numerical_rank
@@ -240,3 +243,78 @@ class TestMetricsFiles:
         loaded = json.loads(path.read_text())
         assert loaded["config"]["method"] == "rosa"
         assert loaded["final_val_loss"] == result.summary["final_val_loss"]
+
+
+def drift_ranks_of(result) -> tuple[int, ...]:
+    """Per-layer numerical rank of the trained net's move from its start."""
+    return tuple(
+        numerical_rank(layer.adapter.effective_weight()
+                       - start.adapter.effective_weight(),
+                       rosa.training._RESIDUAL_RANK_TOL)
+        for layer, start in zip(result.net.layers, result.initial_net.layers))
+
+
+class TestDriftRankEpochs:
+    def test_rosa_ranks_on_event_and_last_epochs(self, tmp_path):
+        config = quick(epochs=5, factorize_every=2, lr=3e-2)
+        result = run_training(config, tiny_task())
+        ranked = [r.epoch for r in result.records if r.residual_ranks is not None]
+        assert ranked == [2, 4, 5]
+        for epoch in ranked:
+            # The first k epochs of a run do not depend on its length.
+            prefix = run_training(quick(epochs=epoch, factorize_every=2,
+                                        lr=3e-2), tiny_task())
+            assert prefix.records[-1].train_loss == \
+                result.records[epoch - 1].train_loss
+            assert result.records[epoch - 1].residual_ranks == \
+                drift_ranks_of(prefix)
+        assert result.summary["final_residual_ranks"] == \
+            list(drift_ranks_of(result))
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(result.records, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, record in zip(rows, result.records):
+            cells = [row["residual_rank_0"], row["residual_rank_1"]]
+            if record.residual_ranks is None:
+                assert cells == ["", ""]
+            else:
+                assert cells == [str(v) for v in record.residual_ranks]
+        assert "None" not in path.read_text()
+
+    @pytest.mark.parametrize("method, rank", [("ft", None), ("lora", 2)])
+    def test_last_epoch_only_without_events(self, tmp_path, method, rank):
+        result = run_training(quick(method=method, rank=rank, epochs=4,
+                                    factorize_every=1), tiny_task())
+        assert [r.residual_ranks is None for r in result.records] == \
+            [True, True, True, False]
+        assert result.records[-1].residual_ranks == drift_ranks_of(result)
+        assert result.summary["final_residual_ranks"] == \
+            list(drift_ranks_of(result))
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(result.records, path)
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",residual_rank_0,residual_rank_1")
+        assert all(line.endswith(",0,,") for line in lines[1:4])
+        assert not lines[4].endswith(",")
+
+    @pytest.mark.parametrize("method, rank", [("rosa", 2), ("ft", None),
+                                              ("lora", 2)])
+    def test_reruns_byte_identical(self, tmp_path, method, rank):
+        paths = []
+        for run in range(2):
+            result = run_training(quick(method=method, rank=rank, epochs=5,
+                                        factorize_every=2), tiny_task())
+            paths.append((tmp_path / f"metrics_{run}.csv",
+                          tmp_path / f"summary_{run}.json"))
+            write_metrics_csv(result.records, paths[-1][0])
+            write_summary_json(result.summary, paths[-1][1])
+        for first, second in zip(*paths):
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_records_without_ranks_write_no_rank_columns(self, tmp_path):
+        result = run_training(quick(method="ft", rank=None, epochs=2),
+                              tiny_task())
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(result.records[:1], path)
+        assert path.read_text().splitlines()[0].endswith(",factorize_event")

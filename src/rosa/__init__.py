@@ -9,8 +9,8 @@ and cli (the `rosa` command).
 """
 
 from .adapters import (FullyTrainable, Ia3Adapter, LoraAdapter, RosaAdapter,
-                       factorize_step, full_init, ia3_init, lora_init,
-                       matrix_param_count, rosa_init, trainable_reduction)
+                       full_init, ia3_init, lora_init, matrix_param_count,
+                       rosa_init, trainable_reduction)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointFormatError, ConfigError,
                      ContractViolationError, InvalidInputError, NumericError,
@@ -22,7 +22,7 @@ from .exact import (RegressionProblem, RosaTrace, achieved_error, data_error,
                     residual_rank, rosa_exact_iterate, rrr_optimum,
                     with_off_range_noise)
 from .linalg import (SamplingScheme, SvdFactors, numerical_rank,
-                     sample_indices, singular_values, svd)
+                     sample_indices, singular_values, svd, svd_each)
 from .network import (Activation, DenseLayer, ForwardCache, GradientSet, Mlp,
                       backward, build_mlp, forward, mse_loss,
                       mse_loss_and_gradient, mse_loss_gradient, predict)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, RankTooLargeError, ShapeError
-from .linalg import Array, SamplingScheme, as_matrix, sample_indices, svd
+from .linalg import (Array, SamplingScheme, SvdFactors, as_matrix,
+                     sample_indices, svd)
 
 
 def _check_input_columns(x, n: int, w_shape: tuple) -> Array:
@@ -67,14 +68,19 @@ class RosaAdapter:
     def trainable_arrays(self) -> dict[str, Array]:
         return {"a": self.a, "b": self.b}
 
-    def factorize(self, rng: np.random.Generator | None = None) -> None:
+    def factorize(self, rng: np.random.Generator | None = None,
+                  factors: SvdFactors | None = None) -> None:
         """Merge the split, decompose, re-sample the trainable slice.
 
-        Post: effective_weight() is unchanged up to roundoff and
-        steps_since_factorize is 0. RANDOM scheme consumes from rng.
+        factors, when given, must be svd(effective_weight()) taken by the
+        caller (training takes every layer's at once with svd_each);
+        otherwise the decomposition is taken here. Post: effective_weight()
+        is unchanged up to roundoff and steps_since_factorize is 0. RANDOM
+        scheme consumes from rng.
         """
         merged = self.effective_weight()
-        factors = svd(merged)
+        if factors is None:
+            factors = svd(merged)
         idx = sample_indices(self.rank, factors.rank_bound, self.scheme, rng)
         self.a = factors.u[:, idx] * factors.sigma[idx]
         self.b = factors.v[:, idx].T
@@ -226,13 +232,6 @@ def ia3_init(w) -> Ia3Adapter:
 def full_init(w) -> FullyTrainable:
     w = as_matrix(w, "w")
     return FullyTrainable(w=w.copy(), w_original=w.copy())
-
-
-def factorize_step(adapter: RosaAdapter,
-                   rng: np.random.Generator | None = None) -> RosaAdapter:
-    """Functional spelling of RosaAdapter.factorize; returns the adapter."""
-    adapter.factorize(rng)
-    return adapter
 
 
 def trainable_reduction(m: int, n: int, rank: int) -> float:

@@ -183,7 +183,17 @@ def cmd_spectrum(args) -> int:
 
 
 def _grid_common(args) -> tuple:
+    """The task, rank, epochs and seed of an ablate or schemes grid.
+
+    The grid fixes its own training configs, so a config file may hold only
+    a "data" object; any other top-level key raises ConfigError.
+    """
     file_cfg = _load_config_file(args.config) if args.config else {}
+    ignored = sorted(set(file_cfg) - {"data"})
+    if ignored:
+        raise ConfigError(", ".join(ignored),
+                          f"not used by '{args.command}', which takes only "
+                          f"a \"data\" object from its config file")
     spec = SyntheticSpec(**_data_fields(file_cfg.get("data", {})))
     task = generate_synthetic(spec)
     rank = args.rank if args.rank is not None else 12
@@ -279,7 +289,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A diverging run raises NumericError; NumPy's overflow warnings
+        # on the way there would only report it a second time.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ sweeps of the synthetic teacher-student task, and the residual-spectrum
 report comparing two networks. The training runs of a sweep or grid are
 split over forked worker processes, one per CPU the process may use when
 BLAS runs one thread per process; the results do not depend on how many
-there are.
+there are. While a grid is split, factorize events take their SVDs on the
+calling thread only.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidInputError, NumericError, RosaError
 from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
                     rrr_optimum, with_off_range_noise)
 from .fileio import atomic_open
-from .linalg import singular_values
+# _run_cells looks _worker_count up here, where tests patch it; tests read
+# _BLAS_THREAD_VARS here too.
+from .linalg import _BLAS_THREAD_VARS, _worker_count, singular_values  # noqa: F401
 from .network import Mlp
 from .synthetic import SyntheticTask
 from .training import TrainConfig, TrainResult, run_training
@@ -99,31 +103,6 @@ def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
     }
 
 
-# Read by OpenBLAS (the BLAS of NumPy's wheels) or MKL when NumPy loads it;
-# with none set, either runs one thread per CPU.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-
-
-def _worker_count() -> int:
-    """Training processes the CPUs take at once without oversubscription.
-
-    The CPUs in this process's affinity mask divided by the BLAS threads of
-    each process, as the environment sets them; 1 where the platform has no
-    affinity mask. Two processes that each run a BLAS thread per CPU are
-    slower than one.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
 def _run_share(task: SyntheticTask, configs: list[TrainConfig],
                indices: range) -> tuple[dict, tuple | None]:
     """Run configs[i] for each i in indices, in order.
@@ -186,9 +165,13 @@ def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
     """Deal the cells round-robin to this process and k - 1 forked children.
 
     Every child is reaped before this returns or raises; one that exits
-    without sending its results raises RosaError.
+    without sending its results raises RosaError. For the length of the
+    split the thread budget of linalg is 1, here and in the children: the
+    k processes already take the CPUs, so factorize events stay serial.
     """
     children = []
+    budget = linalg._split_budget
+    linalg._split_budget = 1
     try:
         for w in range(1, k):
             share = range(w, len(configs), k)
@@ -208,6 +191,7 @@ def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
             shares.append(pickle.loads(payload))
         return shares
     finally:
+        linalg._split_budget = budget
         for pid, pipe, _ in children:
             import signal
             pipe.close()

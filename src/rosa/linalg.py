@@ -2,11 +2,15 @@
 
 Thin deterministic SVD, singular values, numerical rank, and the
 index-subset sampling used to pick singular directions. All functions take
-and return float64 ndarrays and never mutate their inputs.
+and return float64 ndarrays and never mutate their inputs. svd_each takes
+the SVDs of several matrices on concurrent threads, as many as
+_worker_count() allows, with the same bytes as one svd call per matrix.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,7 +70,11 @@ def svd(w) -> SvdFactors:
     identical output bytes.
     """
     w = as_matrix(w, "w")
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return _canonical(*np.linalg.svd(w, full_matrices=False))
+
+
+def _canonical(u: Array, s: Array, vt: Array) -> SvdFactors:
+    """SvdFactors in svd's order and sign convention from LAPACK's factors."""
     # LAPACK already returns descending sigma; the stable sort only matters
     # for exact ties, where it pins one ordering.
     order = np.argsort(-s, kind="stable")
@@ -81,6 +89,80 @@ def svd(w) -> SvdFactors:
     u *= sign
     v *= sign
     return SvdFactors(u=u, sigma=s, v=v)
+
+
+# Read by OpenBLAS (the BLAS of NumPy's wheels) or MKL when NumPy loads it;
+# with none set, either runs one thread per CPU.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+# The worker count while a grid is split over processes (1: the processes
+# already take every CPU), or None outside a split. The split sets it
+# before it forks and restores it when it ends.
+_split_budget: int | None = None
+
+
+def _worker_count() -> int:
+    """Processes or threads the CPUs take at once without oversubscription.
+
+    The CPUs in this process's affinity mask divided by the BLAS threads of
+    each, as the environment sets them; 1 where the platform has no
+    affinity mask or no BLAS variable is set, and _split_budget while a
+    grid split is running. Two workers that each run a BLAS thread per CPU
+    are slower than one.
+    """
+    if _split_budget is not None:
+        return _split_budget
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def svd_each(ws, workers: int) -> list[SvdFactors]:
+    """[svd(w) for w in ws], byte for byte, on up to `workers` threads.
+
+    The calling thread and min(len(ws), workers) - 1 threads started here
+    take the matrices round-robin; np.linalg.svd releases the GIL while
+    LAPACK runs, so the decompositions overlap. The extra threads run only
+    np.linalg.svd, and every one is joined before this returns or raises.
+    When a decomposition fails, the error of the first failing matrix in
+    input order is raised.
+    """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    mats = [as_matrix(w, "w") for w in ws]
+    k = max(1, min(len(mats), workers))
+    raw: list = [None] * len(mats)
+    errors: list = [None] * len(mats)
+
+    def share(first: int) -> None:
+        for i in range(first, len(mats), k):
+            try:
+                raw[i] = np.linalg.svd(mats[i], full_matrices=False)
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    started = []
+    try:
+        for first in range(1, k):
+            thread = threading.Thread(target=share, args=(first,))
+            thread.start()
+            started.append(thread)
+        share(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [_canonical(*factors) for factors in raw]
 
 
 def singular_values(w) -> Array:

@@ -19,7 +19,7 @@ from .adapters import (RosaAdapter, full_init, ia3_init, lora_init,
 from .errors import ConfigError, ContractViolationError, NumericError
 from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
-from .linalg import SamplingScheme, numerical_rank
+from .linalg import SamplingScheme, _worker_count, numerical_rank, svd_each
 from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F401
                       mse_loss_and_gradient, mse_loss_gradient, predict)
 from .optim import AdamW, Sgd
@@ -161,11 +161,20 @@ def make_optimizer(config: TrainConfig):
 
 def _factorize_rosa_layers(net: Mlp, optimizer, config: TrainConfig,
                            rng: np.random.Generator) -> None:
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer.adapter, RosaAdapter):
-            layer.adapter.factorize(rng)
-            if config.reset_moments_on_factorize and isinstance(optimizer, AdamW):
-                optimizer.reset_moments(i, ("a", "b"))
+    """One factorize event: merge every ROSA layer, take all their SVDs at
+    once on _worker_count() threads, then re-sample each layer in order.
+
+    The SVDs draw nothing from rng, so the draws come in the same order as
+    when each layer is decomposed and re-sampled in turn.
+    """
+    rosa = [(i, layer.adapter) for i, layer in enumerate(net.layers)
+            if isinstance(layer.adapter, RosaAdapter)]
+    factors = svd_each([adapter.effective_weight() for _, adapter in rosa],
+                       _worker_count())
+    for (i, adapter), layer_factors in zip(rosa, factors):
+        adapter.factorize(rng, layer_factors)
+        if config.reset_moments_on_factorize and isinstance(optimizer, AdamW):
+            optimizer.reset_moments(i, ("a", "b"))
     net.bump()
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rosa.adapters import (
-    factorize_step,
     full_init,
     ia3_init,
     lora_init,
@@ -88,10 +87,6 @@ class TestFactorize:
         ad.a += rng_for(19).standard_normal(ad.a.shape)
         ad.factorize(rng_for(20))
         assert np.allclose(ad.b @ ad.b.T, np.eye(2), atol=1e-10)
-
-    def test_functional_wrapper_returns_adapter(self):
-        ad = rosa_init(rng_for(21).standard_normal((3, 3)), rank=1, rng=rng_for(22))
-        assert factorize_step(ad, rng_for(23)) is ad
 
     def test_top_scheme_needs_no_rng(self):
         ad = rosa_init(rng_for(24).standard_normal((5, 5)), rank=2,

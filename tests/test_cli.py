@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestExitCodes:
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_overflow_reported_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, method="ft", rank=None, lr=1e308, epochs=2)
+        with warnings.catch_warnings():
+            # A NumPy RuntimeWarning would now raise out of main.
+            warnings.simplefilter("error")
+            code = main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+
     def test_corrupt_checkpoint_is_4(self, tmp_path):
         bad = tmp_path / "bad.rsa1"
         bad.write_bytes(b"not a checkpoint at all")
@@ -253,6 +265,29 @@ class TestSpectrum:
 
 
 class TestGrids:
+    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    def test_top_level_training_fields_are_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"method": "ft", "lr": 5, "data": TINY_DATA}))
+        out = tmp_path / "g"
+        code = main([command, "--config", str(cfg), "--rank", "2",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'lr, method'" in err
+        assert "Traceback" not in err
+        assert not (out / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    def test_data_only_config_is_0(self, tmp_path, command):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"data": TINY_DATA}))
+        out = tmp_path / "g"
+        assert main([command, "--config", str(cfg), "--rank", "2",
+                     "--epochs", "1", "--out", str(out)]) == 0
+        assert (out / f"{command}.json").exists()
+
     def test_ablate_writes_grid(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))

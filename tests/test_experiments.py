@@ -9,6 +9,8 @@ import pytest
 
 import rosa.exact
 import rosa.experiments
+import rosa.linalg
+import rosa.training
 from rosa.errors import (ContractViolationError, InvalidInputError,
                          NumericError, RosaError, ShapeError)
 from rosa.experiments import (
@@ -274,6 +276,32 @@ class TestWorkerCount:
         assert not other.is_alive()
         assert forked == []
         assert len(sweep["rows"]) == 2
+
+    def test_split_runs_factorize_serially(self, workers, monkeypatch):
+        # Outside a split, 4 CPUs at one BLAS thread each give factorize
+        # events threads; inside a 2-process split the parent starts none.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
+        rosa.training.run_training(base, task)
+        assert len(started) == 2
+        started.clear()
+        forked = workers(2)
+        sweep = sweep_learning_rates(task, base, self.LRS)
+        assert len(forked) == 1
+        assert started == []
+        assert len(sweep["rows"]) == len(self.LRS)
+        assert rosa.linalg._split_budget is None
+        assert rosa.linalg._worker_count() == 4
 
     @pytest.mark.parametrize("env, per_process", [
         ({}, None),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from rosa.linalg import (
     sample_indices,
     singular_values,
     svd,
+    svd_each,
 )
 
 from oracles import (gram_schmidt_projection, jacobi_singular_values,
@@ -125,6 +129,115 @@ class TestSignConvention:
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.sigma, f2.sigma)
         assert np.array_equal(f1.v, f2.v)
+
+
+def factors_equal(got, want) -> bool:
+    return (np.array_equal(got.u, want.u) and np.array_equal(got.sigma, want.sigma)
+            and np.array_equal(got.v, want.v))
+
+
+def marked(value: float, shape=(4, 3)) -> np.ndarray:
+    """A matrix whose [0, 0] entry names it for a patched np.linalg.svd."""
+    w = np.ones(shape)
+    w[0, 0] = value
+    return w
+
+
+class TestSvdEach:
+    # Square, tall, wide, and two with exact singular-value ties (identity
+    # and a signed permutation with repeated magnitudes).
+    MATRICES = [
+        rng_for(30).standard_normal((7, 7)),
+        rng_for(31).standard_normal((9, 4)),
+        rng_for(32).standard_normal((3, 8)),
+        np.eye(5),
+        np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -2.0]]),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_match_svd(self, workers):
+        got = svd_each(self.MATRICES, workers)
+        assert len(got) == len(self.MATRICES)
+        for factors, w in zip(got, self.MATRICES):
+            assert factors_equal(factors, svd(w))
+
+    def test_many_threads_fast_switching(self):
+        # More threads than cores, switching as often as the interpreter
+        # allows: each slot of the result must hold its own matrix's factors.
+        ws = [rng_for(40 + i).standard_normal((6, 4)) for i in range(48)]
+        want = [svd(w) for w in ws]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = svd_each(ws, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(factors_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("count, workers", [(1, 3), (2, 3), (3, 2),
+                                                (5, 2), (4, 1), (0, 2)])
+    def test_threads_at_most_min_of_matrices_and_workers(self, monkeypatch,
+                                                        count, workers):
+        real = np.linalg.svd
+        callers = set()
+        lock = threading.Lock()
+
+        def recording(w, full_matrices):
+            with lock:
+                callers.add(threading.get_ident())
+            return real(w, full_matrices=full_matrices)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        start = threading.active_count()
+        got = svd_each(self.MATRICES[:count] * 2, workers)
+        assert len(got) == 2 * count
+        assert len(callers) <= min(2 * count, workers)
+        if workers == 1:
+            assert callers <= {threading.get_ident()}
+        assert threading.active_count() == start
+
+    def test_rejects_bad_input_and_worker_count(self):
+        with pytest.raises(InvalidInputError):
+            svd_each([np.ones((2, 2)), np.array([[np.nan]])], 2)
+        with pytest.raises(InvalidInputError):
+            svd_each([np.ones((2, 2))], 0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_error_of_first_failing_matrix_reraised(self, monkeypatch, workers):
+        real = np.linalg.svd
+
+        def failing(w, full_matrices):
+            if w[0, 0] in (1.0, 2.0):
+                raise np.linalg.LinAlgError(f"matrix {int(w[0, 0])} failed")
+            return real(w, full_matrices=full_matrices)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        start = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="matrix 1 failed"):
+            svd_each([marked(0.0), marked(1.0), marked(3.0)], workers)
+        assert threading.active_count() == start
+        with pytest.raises(np.linalg.LinAlgError, match="matrix 1 failed"):
+            svd_each([marked(0.0), marked(1.0), marked(2.0)], workers)
+        assert threading.active_count() == start
+
+    def test_interrupt_joins_threads(self, monkeypatch):
+        real = np.linalg.svd
+        caller = threading.get_ident()
+        interrupted = threading.Event()
+
+        def interrupting(w, full_matrices):
+            if threading.get_ident() == caller:
+                interrupted.set()
+                raise KeyboardInterrupt
+            # The other thread is still at work when the interrupt comes.
+            assert interrupted.wait(timeout=10)
+            return real(w, full_matrices=full_matrices)
+
+        monkeypatch.setattr(np.linalg, "svd", interrupting)
+        start = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            svd_each([marked(0.0), marked(1.0), marked(2.0)], 3)
+        assert threading.active_count() == start
 
 
 class TestSingularValuesAgainstJacobi:

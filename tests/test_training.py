@@ -1,10 +1,12 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
 
 import rosa.training
 from rosa.adapters import RosaAdapter
+from rosa.checkpoint import encode_checkpoint
 from rosa.errors import ConfigError, NumericError
 from rosa.linalg import numerical_rank
 from rosa.network import predict
@@ -318,3 +320,36 @@ class TestDriftRankEpochs:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(result.records[:1], path)
         assert path.read_text().splitlines()[0].endswith(",factorize_event")
+
+
+class TestThreadedFactorize:
+    @staticmethod
+    def run_files(tmp_path, name):
+        config = quick(scheme="random", factorize_unit="steps",
+                       factorize_every=1, epochs=3)
+        result = run_training(config, tiny_task())
+        write_metrics_csv(result.records, tmp_path / f"{name}.csv")
+        write_summary_json(result.summary, tmp_path / f"{name}.json")
+        return [(tmp_path / f"{name}.csv").read_bytes(),
+                (tmp_path / f"{name}.json").read_bytes(),
+                encode_checkpoint(result.net),
+                encode_checkpoint(result.initial_net)]
+
+    def test_files_and_nets_same_for_one_and_two_workers(self, tmp_path,
+                                                         monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(rosa.training, "_worker_count", lambda: 1)
+        serial = self.run_files(tmp_path, "serial")
+        assert started == []
+        monkeypatch.setattr(rosa.training, "_worker_count", lambda: 2)
+        threaded = self.run_files(tmp_path, "threaded")
+        # Two layers: one extra thread per event, 3 epochs of 2 steps.
+        assert len(started) == 6
+        assert threaded == serial

@@ -8,9 +8,9 @@ harness), checkpoint (binary model files), fileio (atomic output files),
 and cli (the `rosa` command).
 """
 
-from .adapters import (FullyTrainable, Ia3Adapter, LoraAdapter, RosaAdapter,
-                       full_init, ia3_init, lora_init, matrix_param_count,
-                       rosa_init, trainable_reduction)
+from .adapters import (FullyTrainable, Ia3Adapter, RosaAdapter, full_init,
+                       ia3_init, lora_init, matrix_param_count, rosa_init,
+                       trainable_reduction)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointFormatError, ConfigError,
                      ContractViolationError, InvalidInputError, NumericError,

@@ -1,12 +1,21 @@
 """Adapter states for dense weight matrices.
 
-Four ways to parameterize an m x n layer weight around a pretrained matrix:
+Three ways to parameterize an m x n layer weight around a pretrained matrix:
 
-* RosaAdapter: w_fixed + a @ b where (a, b) span a sampled slice of the
-  current weight's singular directions, re-factorized periodically.
-* LoraAdapter: frozen w plus a trainable low-rank correction a @ b.
+* RosaAdapter: a frozen host w_fixed plus a trainable low-rank a @ b. With
+  a sampling scheme, (a, b) span a sampled slice of the current weight's
+  singular directions and are re-factorized periodically (ROSA). With
+  scheme None it is LoRA: Gaussian a, zero b, never re-sampled.
 * Ia3Adapter: frozen w rescaled per output unit by a trainable vector.
 * FullyTrainable: the whole matrix is trainable (the reference point).
+
+Every kind speaks one protocol, so the network, optimizer, checkpoint and
+training loop never ask which kind a layer is: shape, forward(x),
+effective_weight(), residual(), trainable_arrays(); forward_cached(x) ->
+(out before bias, record for backward); backward(rec, dz, need_dx) ->
+(grads keyed like trainable_arrays(), input gradient or None); record() ->
+(meta, tensors) and the classmethod from_record(meta, fetch), the layer's
+checkpoint record both ways. KINDS maps a record's kind to its class.
 
 Adapters own their arrays and are mutated only by their training loop
 (single-writer). Forward passes never materialize the effective weight;
@@ -23,102 +32,114 @@ from .errors import InvalidInputError, RankTooLargeError, ShapeError
 from .linalg import (Array, SamplingScheme, SvdFactors, as_matrix,
                      sample_indices, svd)
 
+_SCHEMES = [s.value for s in SamplingScheme]
 
-def _check_input_columns(x, n: int, w_shape: tuple) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ShapeError("input batch does not match weight", w_shape, x.shape)
-    return x
+
+class _CheckedForward:
+    def forward(self, x) -> Array:
+        """The layer output before bias, for a checked n x batch input."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ShapeError("input batch does not match weight", self.shape,
+                             x.shape)
+        return self.forward_cached(x)[0]
 
 
 @dataclass
-class RosaAdapter:
-    """Weight split w_fixed + a @ b with a periodically re-sampled subspace.
+class RosaAdapter(_CheckedForward):
+    """Weight split w_fixed + a @ b; only a and b receive gradients.
 
-    a is m x r (scaled left singular vectors, columns u_i * sigma_i), b is
-    r x n (transposed right singular vectors). Only a and b receive
-    gradients. factorize() merges the current split and re-draws the
-    trainable slice from a fresh decomposition, leaving the effective
-    weight unchanged.
+    With a scheme, a is m x r (scaled left singular vectors, columns
+    u_i * sigma_i) and b is r x n (transposed right singular vectors);
+    factorize() merges the current split and re-draws the trainable slice
+    from a fresh decomposition, leaving the effective weight unchanged.
+    scheme None is LoRA: the pair is never re-sampled, w_fixed stays the
+    pretrained matrix and w_original is that same array.
     """
 
     w_fixed: Array
     a: Array
     b: Array
     rank: int
-    scheme: SamplingScheme
+    scheme: SamplingScheme | None
     w_original: Array
-    steps_since_factorize: int = 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.w_fixed.shape
 
-    def forward(self, x) -> Array:
-        x = _check_input_columns(x, self.shape[1], self.shape)
-        return self.w_fixed @ x + self.a @ (self.b @ x)
+    def forward_cached(self, x: Array) -> tuple[Array, dict]:
+        bx = self.b @ x
+        return self.w_fixed @ x + self.a @ bx, {"x": x, "bx": bx}
+
+    def backward(self, rec: dict, dz: Array, need_dx: bool):
+        at_dz = self.a.T @ dz
+        grads = {"a": dz @ rec["bx"].T, "b": at_dz @ rec["x"].T}
+        dx = self.w_fixed.T @ dz + self.b.T @ at_dz if need_dx else None
+        return grads, dx
 
     def effective_weight(self) -> Array:
         return self.w_fixed + self.a @ self.b
 
     def residual(self) -> Array:
         """Total drift of the effective weight from the original matrix."""
+        if self.scheme is None:
+            # Exactly a @ b by construction; computing it directly avoids
+            # the cancellation noise of (w + ab) - w.
+            return self.a @ self.b
         return self.effective_weight() - self.w_original
 
     def trainable_arrays(self) -> dict[str, Array]:
         return {"a": self.a, "b": self.b}
 
     def factorize(self, rng: np.random.Generator | None = None,
-                  factors: SvdFactors | None = None) -> None:
+                  factors: SvdFactors | None = None,
+                  merged: Array | None = None) -> None:
         """Merge the split, decompose, re-sample the trainable slice.
 
-        factors, when given, must be svd(effective_weight()) taken by the
-        caller (training takes every layer's at once with svd_each);
-        otherwise the decomposition is taken here. Post: effective_weight()
-        is unchanged up to roundoff and steps_since_factorize is 0. RANDOM
-        scheme consumes from rng.
+        merged, when given, must be effective_weight() and factors its
+        svd, both taken by the caller (training takes every layer's at once
+        with svd_each); otherwise they are computed here. Post:
+        effective_weight() is unchanged up to roundoff. RANDOM scheme
+        consumes from rng.
         """
-        merged = self.effective_weight()
+        if merged is None:
+            merged = self.effective_weight()
         if factors is None:
             factors = svd(merged)
         idx = sample_indices(self.rank, factors.rank_bound, self.scheme, rng)
         self.a = factors.u[:, idx] * factors.sigma[idx]
         self.b = factors.v[:, idx].T
         self.w_fixed = merged - self.a @ self.b
-        self.steps_since_factorize = 0
+
+    def record(self) -> tuple[dict, dict[str, Array]]:
+        factors = {"a": self.a, "b": self.b}
+        if self.scheme is None:
+            return ({"kind": "lora", "rank": self.rank},
+                    {"w_frozen": self.w_fixed, **factors})
+        return ({"kind": "rosa", "rank": self.rank, "scheme": self.scheme.value},
+                {"w_fixed": self.w_fixed, **factors,
+                 "w_original": self.w_original})
+
+    @classmethod
+    def from_record(cls, meta: dict, fetch) -> "RosaAdapter":
+        lora = meta["kind"] == "lora"
+        w_fixed = fetch("w_frozen" if lora else "w_fixed")
+        m, n = w_fixed.shape
+        rank, scheme = meta.get("rank"), meta.get("scheme")
+        if type(rank) is not int or not 1 <= rank <= min(m, n):
+            raise fetch.error(f"rank {rank!r} is not an integer in "
+                              f"[1, {min(m, n)}] for an {m} x {n} weight")
+        if not lora and scheme not in _SCHEMES:
+            raise fetch.error(f"has unknown scheme {scheme!r}")
+        return cls(w_fixed=w_fixed, a=fetch("a", (m, rank)),
+                   b=fetch("b", (rank, n)), rank=rank,
+                   scheme=None if lora else SamplingScheme(scheme),
+                   w_original=w_fixed if lora else fetch("w_original", (m, n)))
 
 
 @dataclass
-class LoraAdapter:
-    """Frozen weight plus trainable a @ b, zero at initialization."""
-
-    w_frozen: Array
-    a: Array
-    b: Array
-    rank: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.w_frozen.shape
-
-    def forward(self, x) -> Array:
-        x = _check_input_columns(x, self.shape[1], self.shape)
-        return self.w_frozen @ x + self.a @ (self.b @ x)
-
-    def effective_weight(self) -> Array:
-        return self.w_frozen + self.a @ self.b
-
-    def residual(self) -> Array:
-        # Exactly a @ b by construction; computing it directly avoids the
-        # cancellation noise of (w + ab) - w.
-        return self.a @ self.b
-
-    def trainable_arrays(self) -> dict[str, Array]:
-        return {"a": self.a, "b": self.b}
-
-
-@dataclass
-class Ia3Adapter:
+class Ia3Adapter(_CheckedForward):
     """Frozen weight with one trainable scale per output unit."""
 
     w_frozen: Array
@@ -128,9 +149,14 @@ class Ia3Adapter:
     def shape(self) -> tuple[int, int]:
         return self.w_frozen.shape
 
-    def forward(self, x) -> Array:
-        x = _check_input_columns(x, self.shape[1], self.shape)
-        return self.scale[:, None] * (self.w_frozen @ x)
+    def forward_cached(self, x: Array) -> tuple[Array, dict]:
+        lin = self.w_frozen @ x
+        return self.scale[:, None] * lin, {"lin": lin}
+
+    def backward(self, rec: dict, dz: Array, need_dx: bool):
+        grads = {"scale": (dz * rec["lin"]).sum(axis=1)}
+        dx = self.w_frozen.T @ (self.scale[:, None] * dz) if need_dx else None
+        return grads, dx
 
     def effective_weight(self) -> Array:
         return self.scale[:, None] * self.w_frozen
@@ -141,9 +167,17 @@ class Ia3Adapter:
     def trainable_arrays(self) -> dict[str, Array]:
         return {"scale": self.scale}
 
+    def record(self) -> tuple[dict, dict[str, Array]]:
+        return {"kind": "ia3"}, {"w_frozen": self.w_frozen, "scale": self.scale}
+
+    @classmethod
+    def from_record(cls, meta: dict, fetch) -> "Ia3Adapter":
+        w_frozen = fetch("w_frozen")
+        return cls(w_frozen=w_frozen, scale=fetch("scale", w_frozen.shape[:1]))
+
 
 @dataclass
-class FullyTrainable:
+class FullyTrainable(_CheckedForward):
     """No adapter: the matrix itself is the trainable parameter."""
 
     w: Array
@@ -153,9 +187,11 @@ class FullyTrainable:
     def shape(self) -> tuple[int, int]:
         return self.w.shape
 
-    def forward(self, x) -> Array:
-        x = _check_input_columns(x, self.shape[1], self.shape)
-        return self.w @ x
+    def forward_cached(self, x: Array) -> tuple[Array, dict]:
+        return self.w @ x, {"x": x}
+
+    def backward(self, rec: dict, dz: Array, need_dx: bool):
+        return {"w": dz @ rec["x"].T}, self.w.T @ dz if need_dx else None
 
     def effective_weight(self) -> Array:
         return self.w
@@ -166,8 +202,20 @@ class FullyTrainable:
     def trainable_arrays(self) -> dict[str, Array]:
         return {"w": self.w}
 
+    def record(self) -> tuple[dict, dict[str, Array]]:
+        return {"kind": "full"}, {"w": self.w, "w_original": self.w_original}
 
-Adapter = RosaAdapter | LoraAdapter | Ia3Adapter | FullyTrainable
+    @classmethod
+    def from_record(cls, meta: dict, fetch) -> "FullyTrainable":
+        w = fetch("w")
+        return cls(w=w, w_original=fetch("w_original", w.shape))
+
+
+Adapter = RosaAdapter | Ia3Adapter | FullyTrainable
+
+# Checkpoint record kind -> class. LoRA files keep their own kind.
+KINDS = {"rosa": RosaAdapter, "lora": RosaAdapter, "ia3": Ia3Adapter,
+         "full": FullyTrainable}
 
 
 def _check_rank(rank: int, m: int, n: int) -> None:
@@ -210,8 +258,8 @@ def rosa_init(w, rank: int, scheme: SamplingScheme = SamplingScheme.RANDOM,
     return adapter
 
 
-def lora_init(w, rank: int, rng: np.random.Generator) -> LoraAdapter:
-    """Build a LoraAdapter: a ~ Gaussian(0, 1/rank) entries, b = 0.
+def lora_init(w, rank: int, rng: np.random.Generator) -> RosaAdapter:
+    """Build a LoRA adapter (scheme None): a ~ Gaussian(0, 1/rank), b = 0.
 
     The zero b makes the correction vanish at init, so the adapted layer
     reproduces w exactly on the first forward pass.
@@ -220,7 +268,9 @@ def lora_init(w, rank: int, rng: np.random.Generator) -> LoraAdapter:
     m, n = w.shape
     _check_rank(rank, m, n)
     a = rng.normal(0.0, np.sqrt(1.0 / rank), size=(m, rank))
-    return LoraAdapter(w_frozen=w.copy(), a=a, b=np.zeros((rank, n)), rank=rank)
+    w = w.copy()
+    return RosaAdapter(w_fixed=w, a=a, b=np.zeros((rank, n)), rank=rank,
+                       scheme=None, w_original=w)
 
 
 def ia3_init(w) -> Ia3Adapter:

@@ -8,15 +8,18 @@ Layout, all integers little-endian u32:
 Each tensor record is: name length, name (UTF-8), rows, cols, then
 rows * cols float64 values, little-endian, row-major. Vectors are stored
 as (n, 1) and restored to 1-D from the layer schema. The meta JSON holds
-what arrays cannot: per-layer adapter kind, activation, rank, sampling
-scheme, and the factorize step counter.
+what arrays cannot: per-layer adapter kind, activation, rank and sampling
+scheme. Each adapter writes and reads its own layer record (record and
+from_record in rosa.adapters); this module adds the activation and bias.
+Older files may also hold a per-layer "steps_since_factorize" counter,
+which loading ignores.
 
 Loading parses the entire byte string before any network object is built,
 so a malformed file raises CheckpointFormatError (with the byte offset)
 and never yields partial state. A file that parses is also checked for
-self-consistency: every tensor finite, every factor, scale, bias and
-original weight shaped to fit its layer's host weight, every rank within
-[1, min(m, n)].
+self-consistency: every meta value of its expected type, every tensor
+finite, every factor, scale, bias and original weight shaped to fit its
+layer's host weight, every rank within [1, min(m, n)].
 """
 
 from __future__ import annotations
@@ -26,56 +29,27 @@ import struct
 
 import numpy as np
 
-from .adapters import (FullyTrainable, Ia3Adapter, LoraAdapter, RosaAdapter)
+from .adapters import KINDS
 from .errors import CheckpointFormatError
 from .fileio import atomic_open
-from .linalg import Array, SamplingScheme
+from .linalg import Array
 from .network import Activation, DenseLayer, Mlp
 
 MAGIC = b"RSA1"
 FORMAT_VERSION = 1
-
-_TENSOR_NAMES = {
-    "rosa": ("w_fixed", "a", "b", "w_original", "bias"),
-    "lora": ("w_frozen", "a", "b", "bias"),
-    "ia3": ("w_frozen", "scale", "bias"),
-    "full": ("w", "w_original", "bias"),
-}
-_VECTOR_NAMES = {"bias", "scale"}
-
-
-def _layer_meta_and_tensors(index: int, layer: DenseLayer):
-    ad = layer.adapter
-    prefix = f"layer{index}."
-    meta: dict = {"activation": layer.activation.value}
-    if isinstance(ad, RosaAdapter):
-        meta.update(kind="rosa", rank=ad.rank, scheme=ad.scheme.value,
-                    steps_since_factorize=ad.steps_since_factorize)
-        named = {"w_fixed": ad.w_fixed, "a": ad.a, "b": ad.b,
-                 "w_original": ad.w_original}
-    elif isinstance(ad, LoraAdapter):
-        meta.update(kind="lora", rank=ad.rank)
-        named = {"w_frozen": ad.w_frozen, "a": ad.a, "b": ad.b}
-    elif isinstance(ad, Ia3Adapter):
-        meta.update(kind="ia3")
-        named = {"w_frozen": ad.w_frozen, "scale": ad.scale[:, None]}
-    elif isinstance(ad, FullyTrainable):
-        meta.update(kind="full")
-        named = {"w": ad.w, "w_original": ad.w_original}
-    else:
-        raise TypeError(f"cannot checkpoint adapter type {type(ad)!r}")
-    named["bias"] = layer.bias[:, None]
-    tensors = [(prefix + name, np.atleast_2d(arr)) for name, arr in named.items()]
-    return meta, tensors
+_ACTIVATIONS = [a.value for a in Activation]
 
 
 def encode_checkpoint(net: Mlp) -> bytes:
     layer_metas = []
     tensors = []
     for i, layer in enumerate(net.layers):
-        lm, named = _layer_meta_and_tensors(i, layer)
-        layer_metas.append(lm)
-        tensors.extend(named)
+        meta, named = layer.adapter.record()
+        meta["activation"] = layer.activation.value
+        named["bias"] = layer.bias
+        layer_metas.append(meta)
+        tensors += [(f"layer{i}.{name}", arr[:, None] if arr.ndim == 1 else arr)
+                    for name, arr in named.items()]
     meta_bytes = json.dumps({"layers": layer_metas}, sort_keys=True).encode("utf-8")
     out = bytearray()
     out += MAGIC
@@ -157,98 +131,57 @@ def decode_checkpoint(data: bytes) -> Mlp:
     return _assemble(meta["layers"], tensors, table_offset)
 
 
-def _assemble(layer_metas: list, tensors: dict[str, Array],
-              table_offset: int) -> Mlp:
-    def fetch(prefix: str, name: str) -> Array:
-        key = prefix + name
-        if key not in tensors:
-            raise CheckpointFormatError(f"missing tensor '{key}'", table_offset)
-        arr = tensors.pop(key)
+class _LayerFetch:
+    """One layer's tensor lookup, handed to its adapter's from_record.
+
+    fetch(name) pops the layer's tensor; fetch(name, shape) also checks its
+    shape, and a 1-D shape restores a vector from its (n, 1) column.
+    error() builds the layer's CheckpointFormatError for the caller to raise.
+    """
+
+    def __init__(self, tensors: dict[str, Array], index: int, offset: int):
+        self.tensors, self.index, self.offset = tensors, index, offset
+
+    def __call__(self, name: str, shape: tuple | None = None) -> Array:
+        key = f"layer{self.index}.{name}"
+        if key not in self.tensors:
+            raise CheckpointFormatError(f"missing tensor '{key}'", self.offset)
+        arr = self.tensors.pop(key)
         if not np.all(np.isfinite(arr)):
             raise CheckpointFormatError(
-                f"tensor '{key}' has non-finite entries", table_offset)
-        if name in _VECTOR_NAMES:
-            if arr.shape[1] != 1:
-                raise CheckpointFormatError(
-                    f"tensor '{key}' should be a column vector, got {arr.shape}",
-                    table_offset)
-            return arr[:, 0].copy()
-        return arr
+                f"tensor '{key}' has non-finite entries", self.offset)
+        if shape is None:
+            return arr
+        stored = shape if len(shape) == 2 else (shape[0], 1)
+        if arr.shape != stored:
+            raise self.error(f"tensor '{name}' has shape {arr.shape}, "
+                             f"expected {stored}")
+        return arr if len(shape) == 2 else arr[:, 0].copy()
 
+    def error(self, message: str) -> CheckpointFormatError:
+        return CheckpointFormatError(f"layer {self.index} {message}", self.offset)
+
+
+def _assemble(layer_metas: list, tensors: dict[str, Array],
+              table_offset: int) -> Mlp:
     layers = []
-    for i, lm in enumerate(layer_metas):
-        if not isinstance(lm, dict):
-            raise CheckpointFormatError(f"layer {i} meta is not an object",
-                                        table_offset)
-        kind = lm.get("kind")
-        if kind not in _TENSOR_NAMES:
-            raise CheckpointFormatError(f"layer {i} has unknown kind {kind!r}",
-                                        table_offset)
-        try:
-            activation = Activation(lm.get("activation"))
-        except ValueError:
-            raise CheckpointFormatError(
-                f"layer {i} has unknown activation {lm.get('activation')!r}",
-                table_offset) from None
-        prefix = f"layer{i}."
-        try:
-            if kind == "rosa":
-                adapter = RosaAdapter(
-                    w_fixed=fetch(prefix, "w_fixed"),
-                    a=fetch(prefix, "a"),
-                    b=fetch(prefix, "b"),
-                    rank=int(lm["rank"]),
-                    scheme=SamplingScheme(lm["scheme"]),
-                    w_original=fetch(prefix, "w_original"),
-                    steps_since_factorize=int(lm["steps_since_factorize"]),
-                )
-            elif kind == "lora":
-                adapter = LoraAdapter(
-                    w_frozen=fetch(prefix, "w_frozen"),
-                    a=fetch(prefix, "a"),
-                    b=fetch(prefix, "b"),
-                    rank=int(lm["rank"]),
-                )
-            elif kind == "ia3":
-                adapter = Ia3Adapter(w_frozen=fetch(prefix, "w_frozen"),
-                                     scale=fetch(prefix, "scale"))
-            else:
-                adapter = FullyTrainable(w=fetch(prefix, "w"),
-                                         w_original=fetch(prefix, "w_original"))
-        except (KeyError, ValueError) as exc:
-            raise CheckpointFormatError(f"layer {i} meta is incomplete: {exc}",
-                                        table_offset) from exc
-        bias = fetch(prefix, "bias")
-        _check_layer_shapes(i, kind, adapter, bias, table_offset)
-        layers.append(DenseLayer(adapter=adapter, bias=bias, activation=activation))
+    for i, meta in enumerate(layer_metas):
+        fetch = _LayerFetch(tensors, i, table_offset)
+        if not isinstance(meta, dict):
+            raise fetch.error("meta is not an object")
+        kind = meta.get("kind")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise fetch.error(f"has unknown kind {kind!r}")
+        if meta.get("activation") not in _ACTIVATIONS:
+            raise fetch.error(f"has unknown activation {meta.get('activation')!r}")
+        adapter = KINDS[kind].from_record(meta, fetch)
+        layers.append(DenseLayer(adapter=adapter,
+                                 bias=fetch("bias", adapter.shape[:1]),
+                                 activation=Activation(meta["activation"])))
     if tensors:
         raise CheckpointFormatError(
             f"unreferenced tensors in file: {sorted(tensors)}", table_offset)
     return Mlp(layers=layers)
-
-
-def _check_layer_shapes(i: int, kind: str, adapter, bias: Array,
-                        table_offset: int) -> None:
-    """Every tensor of layer i must fit its m x n host weight and rank."""
-    m, n = adapter.shape
-    expected = {"bias": (m,)}
-    if kind in ("rosa", "lora"):
-        rank = adapter.rank
-        if not 1 <= rank <= min(m, n):
-            raise CheckpointFormatError(
-                f"layer {i} rank {rank} is outside [1, {min(m, n)}] for an "
-                f"{m} x {n} weight", table_offset)
-        expected.update(a=(m, rank), b=(rank, n))
-    if kind in ("rosa", "full"):
-        expected["w_original"] = (m, n)
-    if kind == "ia3":
-        expected["scale"] = (m,)
-    for name, shape in expected.items():
-        got = bias.shape if name == "bias" else getattr(adapter, name).shape
-        if got != shape:
-            raise CheckpointFormatError(
-                f"layer {i} tensor '{name}' has shape {got}, expected {shape} "
-                f"for an {m} x {n} weight", table_offset)
 
 
 def load_checkpoint(path) -> Mlp:

@@ -1,9 +1,10 @@
 """Column-batched MLP on adapter layers, with hand-written gradients.
 
 Inputs are d x batch matrices (one sample per column). forward returns the
-output together with a cache of layer inputs and pre-activations (plus
-b @ x of factored adapters and w @ x of IA3 layers); backward consumes that
-cache and produces gradients for trainable parameters only.
+output together with a cache holding, per layer, the record its adapter's
+forward_cached returned plus the pre-activation "z"; backward hands each
+record back to its adapter and produces gradients for trainable parameters
+only. Layers never branch on their adapter's kind (see rosa.adapters).
 The cache carries the network's version counter, and any parameter mutation
 is expected to bump it, so gradients can never be computed from stale
 activations.
@@ -17,8 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .adapters import (Adapter, FullyTrainable, Ia3Adapter, LoraAdapter,
-                       RosaAdapter, full_init)
+from .adapters import Adapter, full_init
 from .errors import ContractViolationError, InvalidInputError, ShapeError
 from .linalg import Array
 
@@ -113,21 +113,8 @@ def forward(net: Mlp, x) -> tuple[Array, ForwardCache]:
     records = []
     h = x
     for layer in net.layers:
-        ad = layer.adapter
-        rec: dict[str, Array] = {"x": h}
-        if isinstance(ad, (RosaAdapter, LoraAdapter)):
-            # Same expression as the adapter's forward, keeping b @ x for
-            # the gradient of a.
-            host = ad.w_fixed if isinstance(ad, RosaAdapter) else ad.w_frozen
-            bx = ad.b @ h
-            rec["bx"] = bx
-            z = host @ h + ad.a @ bx + layer.bias[:, None]
-        elif isinstance(ad, Ia3Adapter):
-            lin = ad.w_frozen @ h
-            rec["lin"] = lin
-            z = ad.scale[:, None] * lin + layer.bias[:, None]
-        else:
-            z = ad.forward(h) + layer.bias[:, None]
+        out, rec = layer.adapter.forward_cached(h)
+        z = out + layer.bias[:, None]
         rec["z"] = z
         records.append(rec)
         h = layer.activation.apply(z)
@@ -175,8 +162,7 @@ def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
     """Reverse-mode gradients for every trainable parameter.
 
     output_grad is the loss gradient with respect to the network output,
-    shaped like that output. Frozen arrays (w_fixed, w_frozen) get no
-    gradient entry at all, and no gradient with respect to the network
+    shaped like that output. Frozen arrays get no gradient entry at all, and no gradient with respect to the network
     input is computed: the first layer stops at its parameter gradients.
     """
     if cache.version != net.version:
@@ -203,25 +189,7 @@ def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
             dz = g * (z > 0.0)
         else:
             dz = g
-        grads: dict[str, Array] = {}
-        ad = layer.adapter
-        if isinstance(ad, (RosaAdapter, LoraAdapter)):
-            at_dz = ad.a.T @ dz
-            grads["a"] = dz @ rec["bx"].T
-            grads["b"] = at_dz @ rec["x"].T
-            if i:
-                w_host = ad.w_fixed if isinstance(ad, RosaAdapter) else ad.w_frozen
-                g = w_host.T @ dz + ad.b.T @ at_dz
-        elif isinstance(ad, Ia3Adapter):
-            grads["scale"] = (dz * rec["lin"]).sum(axis=1)
-            if i:
-                g = ad.w_frozen.T @ (ad.scale[:, None] * dz)
-        elif isinstance(ad, FullyTrainable):
-            grads["w"] = dz @ rec["x"].T
-            if i:
-                g = ad.w.T @ dz
-        else:
-            raise ContractViolationError(f"unknown adapter type {type(ad)!r}")
+        grads, g = layer.adapter.backward(rec, dz, i > 0)
         grads["bias"] = dz.sum(axis=1)
         per_layer[i] = grads
     return GradientSet(layers=per_layer)  # type: ignore[arg-type]

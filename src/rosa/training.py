@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapters import (RosaAdapter, full_init, ia3_init, lora_init,
-                       matrix_param_count, rosa_init, trainable_reduction)
+from .adapters import (full_init, ia3_init, lora_init, matrix_param_count,
+                       rosa_init, trainable_reduction)
 from .errors import ConfigError, ContractViolationError, NumericError
 from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
@@ -161,18 +161,17 @@ def make_optimizer(config: TrainConfig):
 
 def _factorize_rosa_layers(net: Mlp, optimizer, config: TrainConfig,
                            rng: np.random.Generator) -> None:
-    """One factorize event: merge every ROSA layer, take all their SVDs at
-    once on _worker_count() threads, then re-sample each layer in order.
+    """One factorize event: merge every layer (the schedule runs only for
+    method rosa, so every layer is factored), take all their SVDs at once
+    on _worker_count() threads, then re-sample each layer in order.
 
     The SVDs draw nothing from rng, so the draws come in the same order as
     when each layer is decomposed and re-sampled in turn.
     """
-    rosa = [(i, layer.adapter) for i, layer in enumerate(net.layers)
-            if isinstance(layer.adapter, RosaAdapter)]
-    factors = svd_each([adapter.effective_weight() for _, adapter in rosa],
-                       _worker_count())
-    for (i, adapter), layer_factors in zip(rosa, factors):
-        adapter.factorize(rng, layer_factors)
+    merged = [layer.adapter.effective_weight() for layer in net.layers]
+    factors = svd_each(merged, _worker_count())
+    for i, (layer, w, layer_factors) in enumerate(zip(net.layers, merged, factors)):
+        layer.adapter.factorize(rng, layer_factors, w)
         if config.reset_moments_on_factorize and isinstance(optimizer, AdamW):
             optimizer.reset_moments(i, ("a", "b"))
     net.bump()

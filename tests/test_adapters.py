@@ -74,12 +74,6 @@ class TestFactorize:
         ad.factorize(rng_for(13))
         assert np.allclose(ad.forward(x), before, atol=1e-10)
 
-    def test_resets_step_counter(self):
-        ad = rosa_init(rng_for(14).standard_normal((4, 4)), rank=1, rng=rng_for(15))
-        ad.steps_since_factorize = 17
-        ad.factorize(rng_for(16))
-        assert ad.steps_since_factorize == 0
-
     def test_installs_fresh_slice(self):
         # After training moved (a, b), the re-sampled slice comes from the
         # merged matrix's decomposition, orthonormal rows in b.
@@ -91,8 +85,10 @@ class TestFactorize:
     def test_top_scheme_needs_no_rng(self):
         ad = rosa_init(rng_for(24).standard_normal((5, 5)), rank=2,
                        scheme=SamplingScheme.TOP)
+        before = ad.effective_weight()
         ad.factorize(None)
-        assert ad.steps_since_factorize == 0
+        assert np.allclose(ad.effective_weight(), before, atol=1e-10)
+        assert np.allclose(ad.b @ ad.b.T, np.eye(2), atol=1e-10)
 
 
 class TestLora:

@@ -1,10 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
+import pathlib
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rosa.adapters import full_init, ia3_init, lora_init, rosa_init
+from rosa.cli import main
 from rosa.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -58,12 +65,10 @@ class TestRoundTrip:
 
     def test_rosa_fields_survive(self):
         net = mixed_net(3)
-        net.layers[0].adapter.steps_since_factorize = 9
         restored = decode_checkpoint(encode_checkpoint(net))
         ad = restored.layers[0].adapter
         assert ad.rank == 2
         assert ad.scheme is SamplingScheme.BOTTOM
-        assert ad.steps_since_factorize == 9
         assert np.array_equal(ad.w_fixed, net.layers[0].adapter.w_fixed)
         assert np.array_equal(ad.w_original, net.layers[0].adapter.w_original)
 
@@ -177,7 +182,7 @@ def square_rosa_net(seed: int) -> Mlp:
 
 
 class TestSelfConsistency:
-    @pytest.mark.parametrize("layer, name", [(0, "a"), (1, "w_frozen"),
+    @pytest.mark.parametrize("layer, name", [(0, "a"), (1, "w_fixed"),
                                              (2, "scale"), (3, "w_original")])
     def test_non_finite_tensor_rejected(self, layer, name):
         net = mixed_net(20)
@@ -232,3 +237,171 @@ class TestSelfConsistency:
         net.layers[2].adapter.scale = np.ones(6)
         with pytest.raises(CheckpointFormatError, match="scale"):
             reloaded(net)
+
+
+def meta_of(blob: bytes) -> dict:
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    return json.loads(blob[12:12 + meta_len])
+
+
+def with_meta(blob: bytes, meta) -> bytes:
+    """blob with its meta JSON replaced by meta, header length fixed."""
+    meta_len = struct.unpack("<I", blob[8:12])[0]
+    new_meta = json.dumps(meta, sort_keys=True).encode()
+    return (blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
+            + blob[12 + meta_len:])
+
+
+def with_layer_value(blob: bytes, layer: int, key: str, value) -> bytes:
+    meta = meta_of(blob)
+    meta["layers"][layer][key] = value
+    return with_meta(blob, meta)
+
+
+class TestMistypedMeta:
+    """Every mistyped meta value is a format error, never a TypeError."""
+
+    @pytest.mark.parametrize("layer, key, value", [
+        (0, "rank", [2]), (0, "rank", None), (0, "rank", True),
+        (0, "rank", 2.0), (0, "rank", "2"), (1, "rank", False),
+        (0, "kind", ["rosa"]), (2, "kind", None), (3, "kind", {"a": 1}),
+        (0, "scheme", ["bottom"]), (0, "scheme", None),
+        (1, "activation", ["relu"]), (3, "activation", 0),
+    ], ids=str)
+    def test_rejected(self, layer, key, value):
+        blob = with_layer_value(encode_checkpoint(mixed_net(30)), layer, key, value)
+        with pytest.raises(CheckpointFormatError, match=f"layer {layer} "):
+            decode_checkpoint(blob)
+
+    def test_bool_rank_rejected_where_shapes_fit(self):
+        # true == 1 in Python, so a rank-1 layer's factors would fit it.
+        rng = rng_for(33)
+        adapter = rosa_init(rng.standard_normal((4, 4)), rank=1, rng=rng)
+        net = Mlp(layers=[DenseLayer(adapter=adapter, bias=np.zeros(4),
+                                     activation=Activation.IDENTITY)])
+        blob = with_layer_value(encode_checkpoint(net), 0, "rank", True)
+        with pytest.raises(CheckpointFormatError, match="rank True"):
+            decode_checkpoint(blob)
+
+    @pytest.mark.parametrize("value", [None, [1], "x", 3])
+    def test_old_step_counter_ignored(self, value):
+        net = mixed_net(31)
+        blob = with_layer_value(encode_checkpoint(net), 0, "steps_since_factorize",
+                                value)
+        x = rng_for(32).standard_normal((4, 5))
+        assert np.array_equal(predict(decode_checkpoint(blob), x), predict(net, x))
+
+
+FIXTURE = pathlib.Path(__file__).parent / "data" / "mixed_v1.rsa1"
+# sha256 of encode_checkpoint(lora_only_net(41)) as written before LoRA
+# became the factored adapter with no scheme.
+LORA_ONLY_SHA256 = "361ca84ba4fde5a8f25b0688a099df8572ee1f385d920edf0fec22ef02370043"
+
+
+def lora_only_net(seed: int) -> Mlp:
+    rng = rng_for(seed)
+    layers = []
+    for out_d, in_d, rank, act in [(5, 4, 2, Activation.RELU),
+                                   (3, 5, 3, Activation.IDENTITY)]:
+        ad = lora_init(rng.standard_normal((out_d, in_d)), rank=rank, rng=rng)
+        ad.b[:] = rng.standard_normal(ad.b.shape)
+        layers.append(DenseLayer(adapter=ad, bias=rng.standard_normal(out_d),
+                                 activation=act))
+    return Mlp(layers=layers)
+
+
+class TestOldFiles:
+    """tests/data/mixed_v1.rsa1 holds mixed_net(40) with its rosa layer's
+    steps_since_factorize at 9, written by the format-1 encoder that still
+    stored that counter and kept LoRA in a class of its own."""
+
+    def test_fixture_is_mixed_and_old(self):
+        layers = meta_of(FIXTURE.read_bytes())["layers"]
+        assert [lm["kind"] for lm in layers] == ["rosa", "lora", "ia3", "full"]
+        assert layers[0]["steps_since_factorize"] == 9
+
+    def test_loads_and_predicts_identically(self):
+        net = mixed_net(40)
+        restored = load_checkpoint(FIXTURE)
+        x = rng_for(41).standard_normal((4, 7))
+        assert np.array_equal(predict(restored, x), predict(net, x))
+        lora = restored.layers[1].adapter
+        assert lora.scheme is None and lora.w_original is lora.w_fixed
+
+    def test_reencoding_drops_only_step_counter(self):
+        old = FIXTURE.read_bytes()
+        meta = meta_of(old)
+        del meta["layers"][0]["steps_since_factorize"]
+        assert encode_checkpoint(decode_checkpoint(old)) == with_meta(old, meta)
+        assert encode_checkpoint(mixed_net(40)) == with_meta(old, meta)
+
+    def test_lora_only_bytes_unchanged(self):
+        blob = encode_checkpoint(lora_only_net(41))
+        assert hashlib.sha256(blob).hexdigest() == LORA_ONLY_SHA256
+
+
+VALID = encode_checkpoint(mixed_net(50))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["rosa", "lora", "ia3", "full", "relu", "identity",
+                       "top", "bottom", "random"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+DELETE = object()
+
+
+def spectrum_of(blob: bytes) -> tuple[int, str]:
+    """Exit code and stderr of `rosa spectrum` on blob against itself."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "m.rsa1"
+        path.write_bytes(blob)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["spectrum", str(path), str(path), "--out", tmp])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(blob: bytes) -> None:
+    code, err = spectrum_of(blob)
+    assert code in (0, 4)
+    assert "Traceback" not in err
+    if code == 4:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestFuzz:
+    """Mutated files load cleanly or fail with exit 4 and one error line."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(flips=st.lists(st.tuples(st.integers(0, len(VALID) - 1),
+                                    st.integers(1, 255)),
+                          min_size=1, max_size=4))
+    def test_byte_flips(self, flips):
+        blob = bytearray(VALID)
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        assert_clean_exit(bytes(blob))
+
+    @settings(deadline=None, max_examples=30)
+    @given(cut=st.integers(0, len(VALID) - 1))
+    def test_truncations(self, cut):
+        assert_clean_exit(VALID[:cut])
+
+    @settings(deadline=None, max_examples=80)
+    @given(layer=st.integers(0, 3),
+           key=st.sampled_from([None, "kind", "rank", "scheme", "activation",
+                                "steps_since_factorize"]),
+           value=JSON_VALUES | st.just(DELETE))
+    def test_meta_value_swaps(self, layer, key, value):
+        meta = meta_of(VALID)
+        if key is None:
+            meta["layers"][layer] = None if value is DELETE else value
+        elif value is DELETE:
+            meta["layers"][layer].pop(key, None)
+        else:
+            meta["layers"][layer][key] = value
+        assert_clean_exit(with_meta(VALID, meta))

@@ -184,6 +184,27 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("rank", [2]), ("rank", None), ("rank", True), ("kind", ["rosa"]),
+    ])
+    def test_mistyped_checkpoint_meta_is_4(self, tmp_path, capsys, key, value):
+        run = tmp_path / "run"
+        main(["train", "--config", write_config(tmp_path), "--out", str(run)])
+        blob = (run / "model.rsa1").read_bytes()
+        meta_len = int.from_bytes(blob[8:12], "little")
+        meta = json.loads(blob[12:12 + meta_len])
+        meta["layers"][0][key] = value
+        new_meta = json.dumps(meta).encode()
+        bad = tmp_path / "bad.rsa1"
+        bad.write_bytes(blob[:8] + len(new_meta).to_bytes(4, "little")
+                        + new_meta + blob[12 + meta_len:])
+        capsys.readouterr()
+        assert main(["spectrum", str(bad), str(bad),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: layer 0 ")
+
     def test_missing_checkpoint_is_4(self, tmp_path):
         absent = str(tmp_path / "absent.rsa1")
         assert main(["spectrum", absent, absent,

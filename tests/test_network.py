@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from rosa.network import (
     mse_loss_gradient,
     predict,
 )
-from rosa.optim import Sgd
+from rosa.optim import AdamW, Sgd
 
 from oracles import dense_forward, finite_difference_gradients
 
@@ -250,3 +252,67 @@ class TestCopy:
         net = mixed_net(40)
         x = rng_for(41).standard_normal((4, 2))
         assert np.array_equal(predict(net, x), predict(net.copy(), x))
+
+
+@dataclass
+class ColumnScale:
+    """A test-local fifth adapter kind: frozen w times a trainable scale per
+    input unit. It implements only the protocol that forward, backward and
+    the optimizer use, and nothing in rosa knows it."""
+
+    w: np.ndarray
+    s: np.ndarray
+
+    @property
+    def shape(self):
+        return self.w.shape
+
+    def forward_cached(self, x):
+        return self.w @ (self.s[:, None] * x), {"x": x}
+
+    def backward(self, rec, dz, need_dx):
+        wt_dz = self.w.T @ dz
+        grads = {"s": (wt_dz * rec["x"]).sum(axis=1)}
+        return grads, self.s[:, None] * wt_dz if need_dx else None
+
+    def trainable_arrays(self):
+        return {"s": self.s}
+
+
+def column_scale_net(seed: int) -> Mlp:
+    """4 -> 6 -> 5 -> 3: a rosa layer, then two ColumnScale layers."""
+    rng = rng_for(seed)
+    layers = [DenseLayer(adapter=rosa_init(rng.standard_normal((6, 4)), rank=2,
+                                           rng=rng),
+                         bias=0.1 * rng.standard_normal(6),
+                         activation=Activation.RELU)]
+    for (out_d, in_d), act in [((5, 6), Activation.RELU),
+                               ((3, 5), Activation.IDENTITY)]:
+        ad = ColumnScale(w=rng.standard_normal((out_d, in_d)),
+                         s=1.0 + 0.2 * rng.standard_normal(in_d))
+        layers.append(DenseLayer(adapter=ad, bias=0.1 * rng.standard_normal(out_d),
+                                 activation=act))
+    return Mlp(layers=layers)
+
+
+class TestAdapterProtocol:
+    def test_new_kind_gradients_match_finite_differences(self):
+        net = column_scale_net(60)
+        x = draw_clear_of_kinks(net, 4, 6, seed=61)
+        y = rng_for(62).standard_normal((3, 6))
+        TestBackwardAgainstFiniteDifferences().check(net, x, y)
+
+    def test_new_kind_trains_with_adamw(self):
+        net = column_scale_net(63)
+        x = rng_for(64).standard_normal((4, 32))
+        y = rng_for(65).standard_normal((3, 32))
+        start = [layer.adapter.s.copy() for layer in net.layers[1:]]
+        opt = AdamW(learning_rate=1e-2)
+        losses = []
+        for _ in range(200):
+            pred, cache = forward(net, x)
+            losses.append(mse_loss(pred, y))
+            opt.step(net, backward(net, cache, mse_loss_gradient(pred, y)))
+        assert losses[-1] < 0.5 * losses[0]
+        for layer, before in zip(net.layers[1:], start):
+            assert not np.array_equal(layer.adapter.s, before)

@@ -19,7 +19,8 @@ so a malformed file raises CheckpointFormatError (with the byte offset)
 and never yields partial state. A file that parses is also checked for
 self-consistency: every meta value of its expected type, every tensor
 finite, every factor, scale, bias and original weight shaped to fit its
-layer's host weight, every rank within [1, min(m, n)].
+layer's host weight, every rank within [1, min(m, n)], at least one layer,
+and each layer's input width equal to the previous layer's output width.
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def decode_checkpoint(data: bytes) -> Mlp:
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"tensor name is not UTF-8: {exc}",
                                         record_offset) from exc
-        rows = cur.u32(f"rows of '{name}'")
-        cols = cur.u32(f"cols of '{name}'")
-        raw = cur.take(rows * cols * 8, f"data of '{name}'")
+        rows = cur.u32(f"rows of {name!r}")
+        cols = cur.u32(f"cols of {name!r}")
+        raw = cur.take(rows * cols * 8, f"data of {name!r}")
         if name in tensors:
-            raise CheckpointFormatError(f"duplicate tensor '{name}'", record_offset)
+            raise CheckpointFormatError(f"duplicate tensor {name!r}", record_offset)
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     if cur.pos != len(data):
         raise CheckpointFormatError(
@@ -164,6 +165,8 @@ class _LayerFetch:
 
 def _assemble(layer_metas: list, tensors: dict[str, Array],
               table_offset: int) -> Mlp:
+    if not layer_metas:
+        raise CheckpointFormatError("meta JSON lists no layers", table_offset)
     layers = []
     for i, meta in enumerate(layer_metas):
         fetch = _LayerFetch(tensors, i, table_offset)
@@ -175,6 +178,9 @@ def _assemble(layer_metas: list, tensors: dict[str, Array],
         if meta.get("activation") not in _ACTIVATIONS:
             raise fetch.error(f"has unknown activation {meta.get('activation')!r}")
         adapter = KINDS[kind].from_record(meta, fetch)
+        if layers and adapter.shape[1] != layers[-1].out_dim:
+            raise fetch.error(f"takes {adapter.shape[1]} inputs but layer "
+                              f"{i - 1} gives {layers[-1].out_dim} outputs")
         layers.append(DenseLayer(adapter=adapter,
                                  bias=fetch("bias", adapter.shape[:1]),
                                  activation=Activation(meta["activation"])))

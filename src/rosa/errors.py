@@ -55,7 +55,7 @@ class ConfigError(RosaError):
     """A configuration field is missing, malformed, or inconsistent."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
+        super().__init__(f"config field {field!r}: {message}")
         self.field = field
 
 

@@ -20,14 +20,23 @@ and the d x p matrix R @ m share singular values and right singular
 vectors. Each x is factored once: construction takes Q and R from one
 reduced QR and checks the column rank from the singular values of R, and
 each problem solves least squares once, as w_ls = R^-1 Q^T y
-(RegressionProblem.x_q, .x_r, .w_ls, .residual_sigma). Every spectrum and
-every greedy round works on R @ m instead of the n x p matrix x @ m, and
-so does every data error: x @ w_ls - y is orthogonal to the range of x, so
+(RegressionProblem.x_q, .x_r, .w_ls). Every spectrum and every greedy
+round works on R @ m instead of the n x p matrix x @ m, and so does every
+data error: x @ w_ls - y is orthogonal to the range of x, so
 ||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible error, which
-each problem computes once. The off-range noisy variant of a problem
-projects its draw off the range of x as z - Q (Q^T z) and shares its
-base's factors, since the noise moves none of them. least_squares, the
-general lstsq route, is kept for callers outside the suite.
+each problem computes once.
+
+Each problem decomposes its residual R @ (w_ls - w0) once
+(RegressionProblem.residual_factors): the residual spectrum, the
+closed-form optimum at every rank and the first greedy round all read it.
+Every residual m is decomposed as svd(qr(m, mode="r")), the SVD of its own
+triangular factor, which has m's singular values and right singular vectors
+without LAPACK forming m's left factor. A greedy round forms R (w_ls - w)
+once for its new weight w: its squared norm prices the round, and the next
+round decomposes it. The off-range noisy variant of a problem projects its
+draw off the range of x as z - Q (Q^T z) and shares its base's factors and
+residual decomposition, since the noise moves none of them. least_squares,
+the general lstsq route, is kept for callers outside the suite.
 
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
@@ -43,7 +52,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, NumericError, RankTooLargeError,
                      ShapeError, SingularMatrixError)
-from .linalg import Array, as_matrix, singular_values, svd
+from .linalg import Array, SvdFactors, as_matrix, singular_values, svd
 
 # Singular values of the residual matrix below this relative threshold are
 # treated as exact zeros when predicting how many greedy rounds remain.
@@ -118,9 +127,17 @@ class RegressionProblem:
         return _read_only(np.linalg.solve(self.x_r, self.x_q.T @ self.y))
 
     @cached_property
+    def residual_factors(self) -> SvdFactors:
+        """Read-only sigma and v of e = x @ (w_ls - w0); see _right_factors."""
+        factors = _right_factors(self.x_r @ (self.w_ls - self.w0))
+        _read_only(factors.sigma)
+        _read_only(factors.v)
+        return factors
+
+    @property
     def residual_sigma(self) -> Array:
         """Singular values of e = x @ (w_ls - w0), descending, min(d, p) of them."""
-        return _read_only(singular_values(self.x_r @ (self.w_ls - self.w0)))
+        return self.residual_factors.sigma
 
     @cached_property
     def irreducible(self) -> float:
@@ -131,7 +148,7 @@ class RegressionProblem:
         """Problem on the same x and w0 with targets y, sharing the factors.
 
         y - self.y must be orthogonal to the range of x. Then w_ls, x_q,
-        x_r and residual_sigma carry over unchanged and x needs no second
+        x_r and residual_factors carry over unchanged and x needs no second
         rank check, so __post_init__ is skipped; the new problem computes
         only its own irreducible error.
         """
@@ -139,9 +156,19 @@ class RegressionProblem:
         new = object.__new__(type(self))
         new.__dict__.update(x=self.x, y=y, w0=self.w0, x_q=self.x_q,
                             x_r=self.x_r, w_ls=self.w_ls,
-                            residual_sigma=self.residual_sigma,
+                            residual_factors=self.residual_factors,
                             irreducible=_squared_norm(self.x @ self.w_ls - y))
         return new
+
+
+def _right_factors(m: Array) -> SvdFactors:
+    """sigma and v of the d x p matrix m, from the SVD of its R factor.
+
+    m = QR with orthonormal Q, so R (min(d, p) x p) has the singular values
+    and right singular vectors of m, and LAPACK never forms the d x p left
+    factor. The u returned is R's, not m's: callers read only sigma and v.
+    """
+    return svd(np.linalg.qr(m, mode="r"))
 
 
 def _squared_norm(m: Array) -> float:
@@ -208,19 +235,6 @@ def _check_correction_rank(problem: RegressionProblem, rank: int) -> None:
         )
 
 
-def _rank_r_correction(problem: RegressionProblem, w_from: Array,
-                       rank: int) -> tuple[Array, Array]:
-    """Best rank-`rank` correction (a, b) to add to w_from.
-
-    With move = w_ls - w_from and v_r the leading `rank` right singular
-    vectors of x @ move, taken from R @ move: a = move @ v_r, b = v_r.T.
-    A sign flip of a column of v_r leaves a @ b unchanged.
-    """
-    move = problem.w_ls - w_from
-    v_r = svd(problem.x_r @ move).v[:, :rank]
-    return move @ v_r, v_r.T
-
-
 def rrr_optimum(problem: RegressionProblem, rank: int) -> tuple[Array, Array]:
     """Best rank-`rank` correction in closed form.
 
@@ -235,7 +249,8 @@ def rrr_optimum(problem: RegressionProblem, rank: int) -> tuple[Array, Array]:
     with v_r the leading `rank` right singular vectors of e.
     """
     _check_correction_rank(problem, rank)
-    return _rank_r_correction(problem, problem.w0, rank)
+    v_r = problem.residual_factors.v[:, :rank]
+    return (problem.w_ls - problem.w0) @ v_r, v_r.T
 
 
 def achieved_error(problem: RegressionProblem, a: Array, b: Array) -> float:
@@ -303,10 +318,17 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     weights = [w]
     errors = [data_error(problem, w)]
     slack = 1e-12 * max(errors[0], 1.0)
-    for _ in range(max_steps):
-        a, b = _rank_r_correction(problem, w, rank)
-        w = w + a @ b
-        err = data_error(problem, w)
+    # w starts at w0, so round 0 reads the problem's residual decomposition.
+    # gap = R (w_ls - w) prices each round as data_error would (its sign
+    # flip is exact) and is the next round's residual.
+    v = problem.residual_factors.v
+    for step in range(max_steps):
+        if step:
+            v = _right_factors(gap).v
+        v_r = v[:, :rank]
+        w = w + ((problem.w_ls - w) @ v_r) @ v_r.T
+        gap = problem.x_r @ (problem.w_ls - w)
+        err = _squared_norm(gap) + problem.irreducible
         if not math.isfinite(err):
             raise NumericError(
                 f"greedy error is not finite after round {len(errors)}: {err}"
@@ -371,7 +393,7 @@ def with_off_range_noise(problem: RegressionProblem, scale: float,
     columns of x, which raises the irreducible error without moving the
     least-squares weight. The component is z - Q (Q^T z), with Q the
     problem's own orthonormal factor. The copy shares the problem's x, w0,
-    Q and R factors, least-squares weight and residual spectrum.
+    Q and R factors, least-squares weight and residual decomposition.
     """
     if scale < 0.0:
         raise InvalidInputError(f"scale must be >= 0, got {scale}")

@@ -9,6 +9,7 @@ capped below that rank have a provable quality gap to close.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,12 @@ class SyntheticSpec:
                 f"must be in [1, {narrowest}] for dims {self.layer_dims}, "
                 f"got {self.drift_rank}",
             )
-        if not self.drift_scale > 0.0:
-            raise ConfigError("drift_scale", f"must be > 0, got {self.drift_scale}")
-        if not self.input_sigma > 0.0:
-            raise ConfigError("input_sigma", f"must be > 0, got {self.input_sigma}")
+        if not 0.0 < self.drift_scale < math.inf:
+            raise ConfigError("drift_scale",
+                              f"must be finite and > 0, got {self.drift_scale}")
+        if not 0.0 < self.input_sigma < math.inf:
+            raise ConfigError("input_sigma",
+                              f"must be finite and > 0, got {self.input_sigma}")
         if self.n_train < 1:
             raise ConfigError("n_train", f"must be >= 1, got {self.n_train}")
         if self.n_val < 1:

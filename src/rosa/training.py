@@ -57,40 +57,41 @@ class TrainConfig:
         self.optimizer = str(self.optimizer).lower()
         self.factorize_unit = str(self.factorize_unit).lower()
         if self.method not in METHODS:
-            raise ConfigError("method", f"must be one of {METHODS}, got '{self.method}'")
+            raise ConfigError("method", f"must be one of {METHODS}, got {self.method!r}")
         needs_rank = self.method in ("rosa", "lora")
         if needs_rank and self.rank is None:
-            raise ConfigError("rank", f"required for method '{self.method}'")
+            raise ConfigError("rank", f"required for method {self.method!r}")
         if not needs_rank and self.rank is not None:
-            raise ConfigError("rank", f"must be omitted for method '{self.method}'")
+            raise ConfigError("rank", f"must be omitted for method {self.method!r}")
         if self.rank is not None and self.rank < 1:
             raise ConfigError("rank", f"must be >= 1, got {self.rank}")
         if self.factorize_every < 1:
             raise ConfigError("factorize_every", f"must be >= 1, got {self.factorize_every}")
         if self.factorize_unit not in ("steps", "epochs"):
             raise ConfigError("factorize_unit",
-                              f"must be 'steps' or 'epochs', got '{self.factorize_unit}'")
+                              f"must be 'steps' or 'epochs', got {self.factorize_unit!r}")
         if self.scheme not in ("random", "top", "bottom"):
-            raise ConfigError("scheme", f"must be random/top/bottom, got '{self.scheme}'")
+            raise ConfigError("scheme", f"must be random/top/bottom, got {self.scheme!r}")
         if self.ablation not in ABLATIONS:
-            raise ConfigError("ablation", f"must be one of {ABLATIONS}, got '{self.ablation}'")
+            raise ConfigError("ablation", f"must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.ablation != "full" and self.method != "rosa":
             raise ConfigError("ablation",
-                              f"'{self.ablation}' only applies to method 'rosa'")
+                              f"{self.ablation!r} only applies to method 'rosa'")
         if self.literal_zero_init and self.method != "rosa":
             raise ConfigError("literal_zero_init", "only applies to method 'rosa'")
         if self.optimizer not in ("sgd", "adamw"):
-            raise ConfigError("optimizer", f"must be 'sgd' or 'adamw', got '{self.optimizer}'")
-        if not self.lr > 0.0:
-            raise ConfigError("lr", f"must be > 0, got {self.lr}")
+            raise ConfigError("optimizer", f"must be 'sgd' or 'adamw', got {self.optimizer!r}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError("lr", f"must be finite and > 0, got {self.lr}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(name, f"must be in [0, 1), got {value}")
-        if not self.epsilon > 0.0:
-            raise ConfigError("epsilon", f"must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay", f"must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon", f"must be finite and > 0, got {self.epsilon}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay",
+                              f"must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

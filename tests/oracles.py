@@ -226,6 +226,24 @@ def truncated_move_weights(problem: RegressionProblem, rank: int,
     return out
 
 
+def direct_greedy_weights(problem: RegressionProblem, rank: int,
+                          steps: int) -> list[np.ndarray]:
+    """Greedy re-rooting with every round's SVD taken of the n x p matrix.
+
+    Round t decomposes x @ (w_ls - w) itself, left factor and all, with
+    w_ls from lstsq, and adds the move projected onto its top `rank` right
+    singular directions.
+    """
+    w_ls = least_squares(problem.x, problem.y)
+    out = [problem.w0.copy()]
+    for _ in range(steps):
+        move = w_ls - out[-1]
+        _, _, vt = np.linalg.svd(problem.x @ move, full_matrices=False)
+        v = vt[:rank].T
+        out.append(out[-1] + move @ (v @ v.T))
+    return out
+
+
 def adamw_reference(param, grad_seq, *, lr: float, beta1: float = 0.9,
                     beta2: float = 0.98, eps: float = 1e-6,
                     wd: float = 0.0) -> np.ndarray:

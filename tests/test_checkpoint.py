@@ -143,6 +143,21 @@ class TestCorruption:
             decode_checkpoint(rebuilt)
         assert "layers" in str(info.value)
 
+    # A tensor name read from the file may hold a line break.
+    NAME = struct.pack("<I", 9) + "layer0.\nw".encode()
+
+    @pytest.mark.parametrize("count, records", [
+        (1, NAME),                                       # truncated at rows
+        (2, 2 * (NAME + struct.pack("<II", 0, 0))),      # the same name twice
+    ], ids=["truncated", "duplicate"])
+    def test_tensor_name_echoed_on_one_line(self, count, records):
+        meta = json.dumps({"layers": []}).encode()
+        blob = (MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta)) + meta
+                + struct.pack("<I", count) + records)
+        with pytest.raises(CheckpointFormatError) as info:
+            decode_checkpoint(blob)
+        assert len(str(info.value).splitlines()) == 1
+
     def test_empty_bytes(self):
         with pytest.raises(CheckpointFormatError):
             decode_checkpoint(b"")
@@ -237,6 +252,22 @@ class TestSelfConsistency:
         net.layers[2].adapter.scale = np.ones(6)
         with pytest.raises(CheckpointFormatError, match="scale"):
             reloaded(net)
+
+    def test_unchained_layers_rejected(self):
+        # A 3x2 layer followed by a 5x2 one: every tensor fits its own
+        # layer, but layer 1 cannot take layer 0's output.
+        rng = rng_for(28)
+        net = Mlp(layers=[
+            DenseLayer(adapter=full_init(rng.standard_normal((out_d, 2))),
+                       bias=np.zeros(out_d), activation=Activation.IDENTITY)
+            for out_d in (3, 5)])
+        with pytest.raises(CheckpointFormatError,
+                           match="layer 1 takes 2 inputs but layer 0 gives 3"):
+            reloaded(net)
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(CheckpointFormatError, match="no layers"):
+            reloaded(Mlp(layers=[]))
 
 
 def meta_of(blob: bytes) -> dict:

@@ -1,17 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import multiprocessing
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rosa.cli
 import rosa.experiments
+from rosa.adapters import full_init
 from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.cli import main
-from rosa.network import predict
+from rosa.network import Activation, DenseLayer, Mlp, predict
 
 TINY_DATA = {"layer_dims": [6, 8, 4], "drift_rank": 2, "n_train": 32,
              "n_val": 16, "seed": 0}
@@ -99,6 +104,11 @@ class TestExitCodes:
         ({"method": "rosa", "rank": "abc"}, "rank"),
         ({"data": {"layer_dims": "ab"}}, "layer_dims"),
         ({"data": {"n_train": None}}, "n_train"),
+        ({"method": "ft", "weight_decay": float("nan")}, "weight_decay"),
+        ({"method": "ft", "epsilon": float("inf")}, "epsilon"),
+        ({"method": "ft", "lr": float("inf")}, "lr"),
+        ({"method": "ft", "data": {"drift_scale": float("inf")}}, "drift_scale"),
+        ({"method": "ft", "data": {"input_sigma": float("nan")}}, "input_sigma"),
     ])
     def test_mistyped_config_value_is_2(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -204,6 +214,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: layer 0 ")
+
+    @pytest.mark.parametrize("out_dims, message", [
+        ((3, 5), "error: layer 1 takes 2 inputs but layer 0 gives 3 outputs"),
+        ((), "error: meta JSON lists no layers"),
+    ], ids=["unchained", "empty"])
+    def test_unchained_checkpoint_is_4(self, tmp_path, capsys, out_dims,
+                                       message):
+        rng = np.random.default_rng(0)
+        net = Mlp(layers=[
+            DenseLayer(adapter=full_init(rng.standard_normal((out_d, 2))),
+                       bias=np.zeros(out_d), activation=Activation.IDENTITY)
+            for out_d in out_dims])
+        bad = tmp_path / "bad.rsa1"
+        save_checkpoint(net, bad)
+        assert main(["spectrum", str(bad), str(bad),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(message)
 
     def test_missing_checkpoint_is_4(self, tmp_path):
         absent = str(tmp_path / "absent.rsa1")
@@ -353,3 +382,124 @@ class TestGrids:
         assert multiprocessing.active_children() == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+# Values that fail a field's type or range check, beside any JSON value.
+FLOATS = st.floats()
+BAD_TRAIN = {
+    "method": st.sampled_from(["IA3", "dora"]),
+    "rank": st.integers(-1, 9),
+    "factorize_every": st.integers(-1, 0),
+    "factorize_unit": st.just("days"),
+    "scheme": st.just("middle"),
+    "ablation": st.just("none"),
+    "optimizer": st.just("adam"),
+    "lr": FLOATS,
+    "beta1": FLOATS,
+    "beta2": FLOATS,
+    "epsilon": FLOATS,
+    "weight_decay": FLOATS,
+    "epochs": st.integers(-1, 0),
+    "batch_size": st.integers(-1, 0),
+    "seed": st.just(-1),
+    "reset_moments_on_factorize": st.nothing(),
+    "literal_zero_init": st.nothing(),
+}
+BAD_DATA = {
+    "layer_dims": st.lists(st.integers(-1, 6), max_size=4),
+    "drift_rank": st.integers(-1, 7),
+    "drift_scale": FLOATS,
+    "input_sigma": FLOATS,
+    "n_train": st.integers(-1, 0),
+    "n_val": st.integers(-1, 0),
+    "seed": st.just(-1),
+}
+
+
+@st.composite
+def train_configs(draw):
+    """A valid `rosa train` config on a tiny task, then up to two of: a
+    field set to a mistyped or out-of-range value, an unknown key (at the
+    top level or in "data"), a "data" entry that is no object."""
+    method = draw(st.sampled_from(["ft", "lora", "rosa", "ia3"]))
+    factored = method in ("rosa", "lora")
+    # Every layer is at least 2 wide, so ranks 1 and 2 always fit.
+    config = draw(st.fixed_dictionaries({}, optional={
+        "factorize_every": st.integers(1, 4),
+        "factorize_unit": st.sampled_from(["steps", "epochs"]),
+        "scheme": st.sampled_from(["random", "top", "bottom"]),
+        "ablation": st.sampled_from(["full", "svd_init_factorize",
+                                     "svd_init_only"] if method == "rosa"
+                                    else ["full"]),
+        "literal_zero_init": st.booleans() if method == "rosa" else st.just(False),
+        "optimizer": st.sampled_from(["sgd", "adamw"]),
+        "lr": st.floats(1e-4, 1e-1),
+        "beta1": st.floats(0.0, 0.99),
+        "beta2": st.floats(0.0, 0.999),
+        "epsilon": st.floats(1e-8, 1e-3),
+        "weight_decay": st.floats(0.0, 0.1),
+        "epochs": st.integers(1, 3),
+        "batch_size": st.integers(1, 16),
+        "seed": st.integers(0, 2**40),
+        "reset_moments_on_factorize": st.booleans(),
+    }))
+    config["method"] = method
+    config["rank"] = draw(st.integers(1, 2)) if factored else None
+    # The defaults of these four set a large task, or one drift_rank 24
+    # does not fit.
+    config["data"] = draw(st.fixed_dictionaries({
+        "layer_dims": st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        "n_train": st.integers(1, 24),
+        "n_val": st.integers(1, 8),
+        "drift_rank": st.integers(1, 2),
+    }, optional={
+        "drift_scale": st.floats(0.1, 4.0),
+        "input_sigma": st.floats(0.1, 4.0),
+        "seed": st.integers(0, 2**40),
+    }))
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["bad", "unknown", "bad data",
+                                       "unknown data", "data no object"]))
+        if change == "data no object":
+            config["data"] = draw(JSON_VALUES)
+            continue
+        target, bad = ((config["data"], BAD_DATA) if change.endswith("data")
+                       else (config, BAD_TRAIN))
+        if not isinstance(target, dict):
+            continue
+        if change.startswith("unknown"):
+            key = draw(st.text(max_size=5).filter(
+                lambda k: k not in bad and k != "data"))
+            target[key] = draw(JSON_VALUES)
+        else:
+            key = draw(st.sampled_from(sorted(bad)))
+            target[key] = draw(bad[key] | JSON_VALUES)
+    return config
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=train_configs())
+def test_config_fuzz_exits_with_a_code(config):
+    """Any JSON config: a documented exit code, one error line, no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["train", "--config", path,
+                         "--out", os.path.join(tmp, "o"), "--epochs", "1"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import math
+
 import rosa.exact
+import rosa.experiments
 from rosa.errors import (
     InvalidInputError,
     NumericError,
@@ -25,9 +28,11 @@ from rosa.exact import (
     rrr_optimum,
     with_off_range_noise,
 )
+from rosa.experiments import run_theorem_suite
 from rosa.linalg import SvdFactors, singular_values
 
 from oracles import (
+    direct_greedy_weights,
     gd_rank_limited,
     gram_schmidt_projection,
     projection_onto_range,
@@ -462,6 +467,122 @@ class TestNoiseInjection:
     def test_negative_scale_rejected(self):
         with pytest.raises(InvalidInputError):
             with_off_range_noise(random_instance(10, 4, 3, seed=31), -0.1, 32)
+
+
+class TestDecompositionCount:
+    """svd and singular_values calls, counted where rosa.exact looks them up."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("svd", "singular_values"):
+            def counting(w, fn=getattr(rosa.exact, name), name=name):
+                calls.append(name)
+                return fn(w)
+
+            monkeypatch.setattr(rosa.exact, name, counting)
+        return calls
+
+    def test_theorem_suite(self, monkeypatch, calls):
+        built, traces = [], []
+        post_init = RegressionProblem.__post_init__
+        iterate = rosa.experiments.rosa_exact_iterate
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_iterate(problem, rank, max_steps):
+            before = calls.count("svd")
+            trace = iterate(problem, rank, max_steps)
+            traces.append((calls.count("svd") - before, len(trace.errors) - 1))
+            return trace
+
+        monkeypatch.setattr(RegressionProblem, "__post_init__", counting_post_init)
+        monkeypatch.setattr(rosa.experiments, "rosa_exact_iterate",
+                            counting_iterate)
+        report = run_theorem_suite()
+        assert report["all_ok"]
+        assert len(built) == 1
+        assert len(traces) == len(report["cases"]) + 1
+        # Round 0 of every trace reads its problem's decomposition; each
+        # later round decomposes once.
+        assert all(during == rounds - 1 for during, rounds in traces)
+        # One residual decomposition for the base problem, none for the
+        # noisy copy, which shares it.
+        assert calls.count("svd") == 1 + sum(r - 1 for _, r in traces)
+        # Singular values only for the rank check at construction.
+        assert calls.count("singular_values") == len(built)
+
+    def test_problem_decomposes_residual_once(self, calls):
+        base = realizable_instance(20, 6, 4, residual_rank=3, seed=63)
+        calls.clear()  # the rank check at construction
+        for rank in (1, 2, 3):
+            predicted_rounds(base, rank)
+            rrr_optimum(base, rank)
+            lora_error_lower_bound(base, rank)
+        noisy = with_off_range_noise(base, scale=1.0, seed=64)
+        predicted_rounds(noisy, 1)
+        rrr_optimum(noisy, 2)
+        lora_error_lower_bound(noisy, 2)
+        rosa_exact_iterate(noisy, rank=3, max_steps=1)
+        assert calls == ["svd"]
+
+
+SHAPES = {"tall": (30, 8, 5), "square": (30, 6, 6), "wide": (30, 4, 9)}
+
+
+class TestRightFactorRoute:
+    """Residuals decomposed through their R factor against the SVD of the
+    n x p matrix x @ move itself."""
+
+    @pytest.mark.parametrize("kind", ["random", "realizable"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_projector_matches_direct_svd(self, shape, kind):
+        n, d, p = shape
+        budget = min(d, p)
+        prob = (random_instance(n, d, p, seed=60) if kind == "random" else
+                realizable_instance(n, d, p, residual_rank=budget - 1, seed=61))
+        _, sigma, vt = np.linalg.svd(prob.x @ (prob.w_ls - prob.w0),
+                                     full_matrices=False)
+        # Ranks whose projector is well defined: sigma_r is no roundoff
+        # value and clears sigma_r+1.
+        ranks = [r for r in range(1, budget + 1)
+                 if sigma[r - 1] > 1e-8 * sigma[0]
+                 and (r == sigma.size or sigma[r - 1] > 1.05 * sigma[r])]
+        assert len(ranks) >= budget - 1
+        for r in ranks:
+            _, b = rrr_optimum(prob, r)
+            assert np.allclose(b.T @ b, vt[:r].T @ vt[:r], rtol=0.0, atol=1e-10)
+        assert np.allclose(prob.residual_sigma, sigma[:budget], rtol=1e-12,
+                           atol=1e-12 * sigma[0])
+
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    def test_greedy_matches_direct_route(self, shape):
+        n, d, p = shape
+        budget = min(d, p)
+        prob = realizable_instance(n, d, p, residual_rank=budget - 1, seed=62)
+        for rank in (1, 2):
+            steps = predicted_rounds(prob, rank) + 1
+            trace = rosa_exact_iterate(prob, rank, steps)
+            ref = direct_greedy_weights(prob, rank, steps)
+            scale = float(np.abs(prob.w_ls).max())
+            for t, (got, want) in enumerate(zip(trace.weights, ref)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale), t
+                assert np.isclose(trace.errors[t], direct_error(prob, want),
+                                  rtol=1e-9, atol=1e-12 * trace.errors[0])
+
+    @pytest.mark.parametrize("d, p, residual, ranks", [
+        (16, 8, 6, (1, 2, 3, 6)), (8, 8, 5, (1, 2, 5)), (6, 12, 5, (1, 2, 5)),
+    ], ids=["tall", "square", "wide"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_suite_round_counts(self, d, p, residual, ranks, seed):
+        report = run_theorem_suite(n=40, d=d, p=p, residual_rank=residual,
+                                   ranks=ranks, seed=seed)
+        assert report["all_ok"]
+        rounds = [math.ceil(residual / r) for r in ranks]
+        assert [c["t_predicted"] for c in report["cases"]] == rounds
+        assert [c["observed_step"] for c in report["cases"]] == rounds
 
 
 class TestInstanceFactories:

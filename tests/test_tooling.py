@@ -4,12 +4,17 @@ perfbench/spans.py wraps package functions by (module, attribute) name and
 calls getattr with no default, so a renamed or removed function would
 crash every traced benchmark run; these tests catch that first. Likewise
 perfbench/floors.py counts a layer's operations by its adapter's type name
-and rank, so a renamed adapter class would silently skew its floors.
+and rank, so a renamed adapter class would silently skew its floors, and
+perfbench/workloads.py counts greedy rounds by wrapping
+rosa.experiments.rosa_exact_iterate, so a suite that stopped calling it
+there would report no work.
 """
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -24,12 +29,15 @@ def load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while the class is made.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 SPANS = load("spans")
 FLOORS = load("floors")
+WORKLOADS = load("workloads")
 
 
 @pytest.mark.parametrize("module, attribute, span", SPANS.FUNCTIONS,
@@ -59,3 +67,18 @@ def test_floors_count_adapters(method, factored):
         low_rank = 2 * r * n * cols + 2 * m * r * cols
         assert FLOORS.layer_forward_flops(kind, m, n, r, cols) == (
             2 * m * n * cols + low_rank)
+
+
+def test_exact_unit_counts_every_round(tmp_path):
+    # Ranks (1, 2, 4, 8) on residual rank 8 take 8, 4, 2 and 1 rounds, the
+    # noisy rank-1 case 8; each trace runs two rounds past its prediction.
+    exact = WORKLOADS.Exact(seed=0, workdir=str(tmp_path))
+    exact.prepare()
+    try:
+        inspected = exact.inspect_unit("suite", exact.run_unit("suite"))
+    finally:
+        exact.close()
+    fingerprint = json.loads((PERFBENCH / "fingerprint.json").read_text())
+    assert inspected.work == sum(t + 2 for t in (8, 4, 2, 1, 8)) == 33
+    assert inspected.ops == fingerprint["exact"]
+    assert inspected.bad == set()

@@ -18,9 +18,8 @@ from .errors import (CheckpointFormatError, ConfigError,
                      SingularMatrixError)
 from .exact import (RegressionProblem, RosaTrace, achieved_error, data_error,
                     irreducible_error, least_squares, lora_error_lower_bound,
-                    predicted_rounds, random_instance, realizable_instance,
-                    residual_rank, rosa_exact_iterate, rrr_optimum,
-                    with_off_range_noise)
+                    predicted_rounds, realizable_instance, residual_rank,
+                    rosa_exact_iterate, rrr_optimum, with_off_range_noise)
 from .linalg import (SamplingScheme, SvdFactors, numerical_rank,
                      sample_indices, singular_values, svd, svd_each)
 from .network import (Activation, DenseLayer, ForwardCache, GradientSet, Mlp,

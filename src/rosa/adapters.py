@@ -11,20 +11,24 @@ Three ways to parameterize an m x n layer weight around a pretrained matrix:
 
 Every kind speaks one protocol, so the network, optimizer, checkpoint and
 training loop never ask which kind a layer is: shape, forward(x),
-effective_weight(), residual(), trainable_arrays(); forward_cached(x) ->
+effective_weight(), trainable_arrays(); forward_cached(x) ->
 (out before bias, record for backward); backward(rec, dz, need_dx) ->
 (grads keyed like trainable_arrays(), input gradient or None); record() ->
 (meta, tensors) and the classmethod from_record(meta, fetch), the layer's
 checkpoint record both ways. KINDS maps a record's kind to its class.
 
+An adapter holds only what its forward pass reads; none keeps a copy of the
+weight it started from. Drift is measured against a snapshot the caller
+keeps (run_training keeps the net at initialization).
+
 Adapters own their arrays and are mutated only by their training loop
 (single-writer). Forward passes never materialize the effective weight;
-analysis helpers (effective_weight, residual) may.
+analysis helpers (effective_weight, RosaAdapter.product) may.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +57,8 @@ class RosaAdapter(_CheckedForward):
     u_i * sigma_i) and b is r x n (transposed right singular vectors);
     factorize() merges the current split and re-draws the trainable slice
     from a fresh decomposition, leaving the effective weight unchanged.
-    scheme None is LoRA: the pair is never re-sampled, w_fixed stays the
-    pretrained matrix and w_original is that same array.
+    scheme None is LoRA: the pair is never re-sampled and w_fixed stays the
+    pretrained matrix.
     """
 
     w_fixed: Array
@@ -62,7 +66,6 @@ class RosaAdapter(_CheckedForward):
     b: Array
     rank: int
     scheme: SamplingScheme | None
-    w_original: Array
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,13 +84,10 @@ class RosaAdapter(_CheckedForward):
     def effective_weight(self) -> Array:
         return self.w_fixed + self.a @ self.b
 
-    def residual(self) -> Array:
-        """Total drift of the effective weight from the original matrix."""
-        if self.scheme is None:
-            # Exactly a @ b by construction; computing it directly avoids
-            # the cancellation noise of (w + ab) - w.
-            return self.a @ self.b
-        return self.effective_weight() - self.w_original
+    def product(self) -> Array:
+        """a @ b. For LoRA this is exactly the drift from the pretrained
+        matrix, free of the cancellation noise of (w + ab) - w."""
+        return self.a @ self.b
 
     def trainable_arrays(self) -> dict[str, Array]:
         return {"a": self.a, "b": self.b}
@@ -118,8 +118,7 @@ class RosaAdapter(_CheckedForward):
             return ({"kind": "lora", "rank": self.rank},
                     {"w_frozen": self.w_fixed, **factors})
         return ({"kind": "rosa", "rank": self.rank, "scheme": self.scheme.value},
-                {"w_fixed": self.w_fixed, **factors,
-                 "w_original": self.w_original})
+                {"w_fixed": self.w_fixed, **factors})
 
     @classmethod
     def from_record(cls, meta: dict, fetch) -> "RosaAdapter":
@@ -134,8 +133,7 @@ class RosaAdapter(_CheckedForward):
             raise fetch.error(f"has unknown scheme {scheme!r}")
         return cls(w_fixed=w_fixed, a=fetch("a", (m, rank)),
                    b=fetch("b", (rank, n)), rank=rank,
-                   scheme=None if lora else SamplingScheme(scheme),
-                   w_original=w_fixed if lora else fetch("w_original", (m, n)))
+                   scheme=None if lora else SamplingScheme(scheme))
 
 
 @dataclass
@@ -161,9 +159,6 @@ class Ia3Adapter(_CheckedForward):
     def effective_weight(self) -> Array:
         return self.scale[:, None] * self.w_frozen
 
-    def residual(self) -> Array:
-        return (self.scale - 1.0)[:, None] * self.w_frozen
-
     def trainable_arrays(self) -> dict[str, Array]:
         return {"scale": self.scale}
 
@@ -181,7 +176,6 @@ class FullyTrainable(_CheckedForward):
     """No adapter: the matrix itself is the trainable parameter."""
 
     w: Array
-    w_original: Array = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -196,19 +190,15 @@ class FullyTrainable(_CheckedForward):
     def effective_weight(self) -> Array:
         return self.w
 
-    def residual(self) -> Array:
-        return self.w - self.w_original
-
     def trainable_arrays(self) -> dict[str, Array]:
         return {"w": self.w}
 
     def record(self) -> tuple[dict, dict[str, Array]]:
-        return {"kind": "full"}, {"w": self.w, "w_original": self.w_original}
+        return {"kind": "full"}, {"w": self.w}
 
     @classmethod
     def from_record(cls, meta: dict, fetch) -> "FullyTrainable":
-        w = fetch("w")
-        return cls(w=w, w_original=fetch("w_original", w.shape))
+        return cls(w=fetch("w"))
 
 
 Adapter = RosaAdapter | Ia3Adapter | FullyTrainable
@@ -249,7 +239,6 @@ def rosa_init(w, rank: int, scheme: SamplingScheme = SamplingScheme.RANDOM,
         b=np.zeros((rank, n)),
         rank=rank,
         scheme=scheme,
-        w_original=w.copy(),
     )
     if factorize_at_init:
         adapter.factorize(rng)
@@ -268,9 +257,8 @@ def lora_init(w, rank: int, rng: np.random.Generator) -> RosaAdapter:
     m, n = w.shape
     _check_rank(rank, m, n)
     a = rng.normal(0.0, np.sqrt(1.0 / rank), size=(m, rank))
-    w = w.copy()
-    return RosaAdapter(w_fixed=w, a=a, b=np.zeros((rank, n)), rank=rank,
-                       scheme=None, w_original=w)
+    return RosaAdapter(w_fixed=w.copy(), a=a, b=np.zeros((rank, n)), rank=rank,
+                       scheme=None)
 
 
 def ia3_init(w) -> Ia3Adapter:
@@ -281,7 +269,7 @@ def ia3_init(w) -> Ia3Adapter:
 
 def full_init(w) -> FullyTrainable:
     w = as_matrix(w, "w")
-    return FullyTrainable(w=w.copy(), w_original=w.copy())
+    return FullyTrainable(w=w.copy())
 
 
 def trainable_reduction(m: int, n: int, rank: int) -> float:

@@ -12,15 +12,16 @@ what arrays cannot: per-layer adapter kind, activation, rank and sampling
 scheme. Each adapter writes and reads its own layer record (record and
 from_record in rosa.adapters); this module adds the activation and bias.
 Older files may also hold a per-layer "steps_since_factorize" counter,
-which loading ignores.
+which loading ignores, and a "w_original" copy of a layer's starting
+weight, which loading checks like any tensor and then drops.
 
 Loading parses the entire byte string before any network object is built,
 so a malformed file raises CheckpointFormatError (with the byte offset)
 and never yields partial state. A file that parses is also checked for
 self-consistency: every meta value of its expected type, every tensor
-finite, every factor, scale, bias and original weight shaped to fit its
-layer's host weight, every rank within [1, min(m, n)], at least one layer,
-and each layer's input width equal to the previous layer's output width.
+finite, every factor, scale and bias shaped to fit its layer's host
+weight, every rank within [1, min(m, n)], at least one layer, and each
+layer's input width equal to the previous layer's output width.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ def _assemble(layer_metas: list, tensors: dict[str, Array],
         if meta.get("activation") not in _ACTIVATIONS:
             raise fetch.error(f"has unknown activation {meta.get('activation')!r}")
         adapter = KINDS[kind].from_record(meta, fetch)
+        if f"layer{i}.w_original" in tensors:
+            fetch("w_original", adapter.shape)
         if layers and adapter.shape[1] != layers[-1].out_dim:
             raise fetch.error(f"takes {adapter.shape[1]} inputs but layer "
                               f"{i - 1} gives {layers[-1].out_dim} outputs")

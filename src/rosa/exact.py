@@ -370,21 +370,6 @@ def realizable_instance(n: int, d: int, p: int, residual_rank: int,
     return RegressionProblem(x=x, y=x @ w_star, w0=w0)
 
 
-def random_instance(n: int, d: int, p: int, seed: int) -> RegressionProblem:
-    """Fully generic instance: x, y, w0 all i.i.d. Gaussian.
-
-    Generic targets sit off the range of x, so the irreducible error is
-    positive and the residual matrix has full admissible rank min(d, p)
-    almost surely.
-    """
-    if n < d:
-        raise InvalidInputError(f"need n >= d for full column rank, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
-    return RegressionProblem(x=rng.standard_normal((n, d)),
-                             y=rng.standard_normal((n, p)),
-                             w0=rng.standard_normal((d, p)))
-
-
 def with_off_range_noise(problem: RegressionProblem, scale: float,
                          seed: int) -> RegressionProblem:
     """Copy of the problem with targets pushed off the range of x.

@@ -57,9 +57,6 @@ class SvdFactors:
     def rank_bound(self) -> int:
         return int(self.sigma.size)
 
-    def reconstruct(self) -> Array:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def svd(w) -> SvdFactors:
     """Thin SVD with a deterministic sign convention.

@@ -4,8 +4,8 @@ Both optimizers walk the GradientSet produced by backward, update the
 matching adapter arrays in place, and bump the network version so stale
 caches are rejected. AdamW keeps its moments for the whole network in one
 flat vector each, laid out per (layer index, parameter name) at the first
-step; a key's slice and step count can be reset when that layer's
-trainable subspace is re-sampled.
+step, matrix keys first and biases last; a key's slice and step count can
+be reset when that layer's trainable subspace is re-sampled.
 """
 
 from __future__ import annotations
@@ -74,15 +74,16 @@ class _FlatState:
     """AdamW state for a whole network: one flat vector per quantity.
 
     layout holds (layer, name, shape, slice) per key in the first step's
-    gradient order; t holds each key's step count. g, s and u are scratch
-    for the flat gradient, a temporary and the update; u_views are u's
-    per-key slices shaped like the parameters.
+    gradient order, except that every bias follows every matrix key, so the
+    keys a factorize event resets lie next to each other; t holds each
+    key's step count. g, s and u are scratch for the flat gradient, a
+    temporary and the update; u_views are u's per-key slices shaped like
+    the parameters.
     """
 
     layout: tuple
     index: dict
     t: list
-    sizes: Array
     m: Array
     v: Array
     g: Array
@@ -93,7 +94,7 @@ class _FlatState:
     @classmethod
     def allocate(cls, items) -> "_FlatState":
         layout, start = [], 0
-        for (i, name), _, g in items:
+        for (i, name), _, g in sorted(items, key=lambda it: it[0][1] == "bias"):
             layout.append((i, name, g.shape, slice(start, start + g.size)))
             start += g.size
         u = np.zeros(start)
@@ -101,7 +102,6 @@ class _FlatState:
             layout=tuple(layout),
             index={(i, name): k for k, (i, name, _, _) in enumerate(layout)},
             t=[0] * len(layout),
-            sizes=np.array([sl.stop - sl.start for *_, sl in layout]),
             m=np.zeros(start), v=np.zeros(start), g=np.zeros(start),
             s=np.zeros(start), u=u,
             u_views=[u[sl].reshape(shape) for _, _, shape, sl in layout],
@@ -143,15 +143,6 @@ class AdamW:
         if self.weight_decay < 0.0:
             raise InvalidInputError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
-    def _corrections(self, st: _FlatState):
-        """(1 - beta1**t, 1 - beta2**t): scalars when every key shares t,
-        else one value per flat element."""
-        ts = st.t
-        if ts.count(ts[0]) == len(ts):
-            return 1.0 - self.beta1 ** ts[0], 1.0 - self.beta2 ** ts[0]
-        return (np.array([1.0 - self.beta1 ** t for t in ts]).repeat(st.sizes),
-                np.array([1.0 - self.beta2 ** t for t in ts]).repeat(st.sizes))
-
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:
         items = _aligned_items(net, grads)
@@ -174,22 +165,29 @@ class AdamW:
                 )
             params[k] = p
             flat_grads[k] = g
-        st.t = [t + 1 for t in st.t]
-        c1, c2 = self._corrections(st)
+        st.t = ts = [t + 1 for t in st.t]
         m, v, g, s, u = st.m, st.v, st.g, st.s, st.u
         b1, b2, lr = self.beta1, self.beta2, self.learning_rate
         np.concatenate(flat_grads, axis=None, out=g)
         # Element by element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-        # u = (lr*(m/c1)) / (sqrt(v/c2) + eps).
+        # u = (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
+        # c1 = 1 - b1**t and c2 = 1 - b2**t taken per run of adjacent keys
+        # that share a step count t.
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
         np.multiply(g, g, out=s)
         s *= 1.0 - b2
         v += s
-        np.divide(m, c1, out=s)
+        start = 0
+        for k, t in enumerate(ts):
+            if k + 1 < len(ts) and ts[k + 1] == t:
+                continue
+            run = slice(start, st.layout[k][3].stop)
+            np.divide(m[run], 1.0 - b1 ** t, out=s[run])
+            np.divide(v[run], 1.0 - b2 ** t, out=u[run])
+            start = run.stop
         s *= lr
-        np.divide(v, c2, out=u)
         np.sqrt(u, out=u)
         u += self.epsilon
         np.divide(s, u, out=u)

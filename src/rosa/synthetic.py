@@ -80,7 +80,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticTask:
     drift's per-entry std is drift_scale times that of the He-initialized
     base weight (rank * var_p * var_q = drift_scale^2 * 2 / fan_in).
     Targets are exact teacher outputs, so the task is realizable by
-    construction.
+    construction. The training arrays are stored column-contiguous
+    (Fortran order), so gathering a minibatch of columns copies whole
+    samples.
     """
     rng = np.random.default_rng(spec.seed)
     base = build_mlp(list(spec.layer_dims), rng,
@@ -99,8 +101,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticTask:
     return SyntheticTask(
         base=base,
         teacher=teacher,
-        x_train=x_train,
-        y_train=predict(teacher, x_train),
+        x_train=np.asfortranarray(x_train),
+        y_train=np.asfortranarray(predict(teacher, x_train)),
         x_val=x_val,
         y_val=predict(teacher, x_val),
     )

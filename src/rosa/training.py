@@ -252,9 +252,9 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
         ))
     lora_check = None
     if config.method == "lora":
-        # The adapter's own residual is exactly a @ b, free of the
+        # A LoRA layer's drift is exactly its product a @ b, free of the
         # cancellation noise of differencing effective weights.
-        ranks = tuple(numerical_rank(layer.adapter.residual(), _RESIDUAL_RANK_TOL)
+        ranks = tuple(numerical_rank(layer.adapter.product(), _RESIDUAL_RANK_TOL)
                       for layer in net.layers)
         if any(r > config.rank for r in ranks):
             raise ContractViolationError(

@@ -4,14 +4,16 @@ Everything here recomputes a quantity by a path the library does not share:
 plain Jacobi rotations instead of LAPACK, modified Gram-Schmidt instead of
 an orthonormal basis from the SVD, central finite differences instead of
 reverse mode, batched gradient descent instead of the closed form. Slow and
-simple on purpose; shapes stay small in the tests that call these.
+simple on purpose; shapes stay small in the tests that call these. The
+module also holds the helpers only tests need: random_instance and
+reconstruct.
 """
 
 import numpy as np
 
-from rosa.errors import SingularMatrixError
+from rosa.errors import InvalidInputError, SingularMatrixError
 from rosa.exact import RegressionProblem, data_error, least_squares
-from rosa.linalg import as_matrix
+from rosa.linalg import SvdFactors, as_matrix
 from rosa.network import Mlp, forward, mse_loss
 
 
@@ -339,3 +341,23 @@ def assert_error_matches(problem: RegressionProblem, w: np.ndarray,
     assert abs(got - expected) <= rel * max(abs(expected), 1.0), (
         f"error {got!r} differs from expected {expected!r}"
     )
+
+
+def random_instance(n: int, d: int, p: int, seed: int) -> RegressionProblem:
+    """Fully generic instance: x, y, w0 all i.i.d. Gaussian.
+
+    Generic targets sit off the range of x, so the irreducible error is
+    positive and the residual matrix has full admissible rank min(d, p)
+    almost surely.
+    """
+    if n < d:
+        raise InvalidInputError(f"need n >= d for full column rank, got n={n}, d={d}")
+    rng = np.random.default_rng(seed)
+    return RegressionProblem(x=rng.standard_normal((n, d)),
+                             y=rng.standard_normal((n, p)),
+                             w0=rng.standard_normal((d, p)))
+
+
+def reconstruct(factors: SvdFactors) -> np.ndarray:
+    """u @ diag(sigma) @ v.T of a thin SVD."""
+    return (factors.u * factors.sigma) @ factors.v.T

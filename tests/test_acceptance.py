@@ -2,7 +2,7 @@
 
 One test per shipped guarantee. Each test prints a scoreboard line outside
 pytest's capture, then asserts the details, so a plain run of this file
-shows eleven PASS/FAIL verdicts with wall times whatever else is going on.
+shows twelve PASS/FAIL verdicts with wall times whatever else is going on.
 
 The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
 a module fixture, split over one process per CPU; expect about 20 s there
@@ -29,7 +29,6 @@ from rosa.exact import (
     achieved_error,
     irreducible_error,
     lora_error_lower_bound,
-    random_instance,
     rrr_optimum,
 )
 from rosa.experiments import run_method_comparison
@@ -45,11 +44,12 @@ from rosa.synthetic import SyntheticSpec, generate_synthetic
 from rosa.training import (
     TrainConfig,
     adapt_network,
+    make_optimizer,
     run_training,
     write_metrics_csv,
 )
 
-from oracles import finite_difference_gradients, gd_rank_limited
+from oracles import finite_difference_gradients, gd_rank_limited, random_instance
 
 FINGERPRINT = pathlib.Path(__file__).with_name("grid_fingerprint.json")
 ENTRIES = [("ft", None), ("rosa", 2), ("rosa", 6), ("rosa", 12),
@@ -362,4 +362,48 @@ def test_11_grid_fingerprint(capsys, benchmark_grid):
                             f"{want[key]}")
     elapsed = time.perf_counter() - t0
     scoreboard(capsys, 11, "benchmark grid fingerprint", elapsed, failures)
+    assert not failures, failures
+
+
+def adapter_bytes(net) -> int:
+    """Bytes of the arrays a net's adapters hold, each distinct array once."""
+    arrays = {id(arr): arr for layer in net.layers
+              for arr in vars(layer.adapter).values()
+              if isinstance(arr, np.ndarray)}
+    return sum(arr.nbytes for arr in arrays.values())
+
+
+def test_12_memory_parity_with_lora(capsys):
+    # ROSA re-samples its subspace without holding more than LoRA does:
+    # w_fixed, a and b per layer, and the same AdamW state.
+    t0 = time.perf_counter()
+    failures = []
+    task = generate_synthetic(SyntheticSpec(seed=0))
+    x, y = task.x_train[:, :64], task.y_train[:, :64]
+
+    def held(method, rank):
+        config = TrainConfig(method=method, rank=rank, epochs=1)
+        net = adapt_network(task.base, config, np.random.default_rng(0))
+        optimizer = make_optimizer(config)
+        pred, cache = forward(net, x)
+        optimizer.step(net, backward(net, cache, mse_loss_gradient(pred, y)))
+        return adapter_bytes(net), optimizer._flat.m.size
+
+    ft_bytes, _ = held("ft", None)
+    if ft_bytes != 65_536:
+        failures.append(f"ft net holds {ft_bytes} adapter bytes, expected 65536")
+    for rank in (2, 6, 12):
+        (rosa_bytes, rosa_state), (lora_bytes, lora_state) = (
+            held("rosa", rank), held("lora", rank))
+        if rosa_bytes != lora_bytes:
+            failures.append(f"rank {rank}: rosa holds {rosa_bytes} adapter "
+                            f"bytes, lora {lora_bytes}")
+        # Two 64 x 64 float64 layers: 90,112 bytes at rank 12.
+        if lora_bytes != 2 * 8 * (64 * 64 + rank * (64 + 64)):
+            failures.append(f"rank {rank}: lora holds {lora_bytes} adapter bytes")
+        if rosa_state != lora_state:
+            failures.append(f"rank {rank}: AdamW state of {rosa_state} "
+                            f"entries for rosa, {lora_state} for lora")
+    elapsed = time.perf_counter() - t0
+    scoreboard(capsys, 12, "memory parity with lora", elapsed, failures)
     assert not failures, failures

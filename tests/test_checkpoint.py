@@ -29,7 +29,9 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def mixed_net(seed: int) -> Mlp:
+def mixed_net(seed: int, starts: list | None = None) -> Mlp:
+    """One layer of each kind; starts, when given, receives a copy of each
+    layer's start weight."""
     rng = rng_for(seed)
     specs = [
         (6, 4, Activation.RELU,
@@ -40,7 +42,10 @@ def mixed_net(seed: int) -> Mlp:
     ]
     layers = []
     for out_d, in_d, act, build in specs:
-        layers.append(DenseLayer(adapter=build(rng.standard_normal((out_d, in_d))),
+        w = rng.standard_normal((out_d, in_d))
+        if starts is not None:
+            starts.append(w.copy())
+        layers.append(DenseLayer(adapter=build(w),
                                  bias=rng.standard_normal(out_d),
                                  activation=act))
     return Mlp(layers=layers)
@@ -64,13 +69,22 @@ class TestRoundTrip:
                 assert np.array_equal(dst.adapter.trainable_arrays()[name], arr)
 
     def test_rosa_fields_survive(self):
-        net = mixed_net(3)
+        starts = []
+        net = mixed_net(3, starts)
         restored = decode_checkpoint(encode_checkpoint(net))
         ad = restored.layers[0].adapter
         assert ad.rank == 2
         assert ad.scheme is SamplingScheme.BOTTOM
         assert np.array_equal(ad.w_fixed, net.layers[0].adapter.w_fixed)
-        assert np.array_equal(ad.w_original, net.layers[0].adapter.w_original)
+        assert np.array_equal(ad.effective_weight() - starts[0],
+                              net.layers[0].adapter.effective_weight() - starts[0])
+
+    def test_records_hold_no_start_weight(self):
+        names = set(split_tensors(encode_checkpoint(mixed_net(4)))[1])
+        assert names == {"layer0.w_fixed", "layer0.a", "layer0.b", "layer0.bias",
+                         "layer1.w_frozen", "layer1.a", "layer1.b", "layer1.bias",
+                         "layer2.w_frozen", "layer2.scale", "layer2.bias",
+                         "layer3.w", "layer3.bias"}
 
     def test_file_round_trip(self, tmp_path):
         net = build_mlp([3, 5, 2], rng_for(4))
@@ -198,7 +212,7 @@ def square_rosa_net(seed: int) -> Mlp:
 
 class TestSelfConsistency:
     @pytest.mark.parametrize("layer, name", [(0, "a"), (1, "w_fixed"),
-                                             (2, "scale"), (3, "w_original")])
+                                             (2, "scale"), (3, "w")])
     def test_non_finite_tensor_rejected(self, layer, name):
         net = mixed_net(20)
         getattr(net.layers[layer].adapter, name).flat[0] = np.nan
@@ -211,17 +225,29 @@ class TestSelfConsistency:
         with pytest.raises(CheckpointFormatError, match="non-finite"):
             reloaded(net)
 
+    # Older files also hold each rosa and full layer's start weight as
+    # w_original. Loading checks it like any tensor, then drops it.
     def test_rosa_original_shape_rejected(self):
-        net = square_rosa_net(22)
-        net.layers[0].adapter.w_original = np.zeros((3, 3))
+        blob = with_tensor(encode_checkpoint(square_rosa_net(22)),
+                           "layer0.w_original", np.zeros((3, 3)))
         with pytest.raises(CheckpointFormatError, match="w_original"):
-            reloaded(net)
+            decode_checkpoint(blob)
 
     def test_full_original_shape_rejected(self):
-        net = mixed_net(23)
-        net.layers[3].adapter.w_original = np.zeros((5, 2))
+        blob = with_tensor(encode_checkpoint(mixed_net(23)),
+                           "layer3.w_original", np.zeros((5, 2)))
         with pytest.raises(CheckpointFormatError, match="w_original"):
-            reloaded(net)
+            decode_checkpoint(blob)
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_non_finite_original_rejected(self, layer):
+        starts = []
+        net = mixed_net(29, starts)
+        start = starts[layer].copy()
+        start.flat[0] = np.nan
+        blob = with_tensor(encode_checkpoint(net), f"layer{layer}.w_original", start)
+        with pytest.raises(CheckpointFormatError, match="non-finite"):
+            decode_checkpoint(blob)
 
     def test_factor_wider_than_rank_rejected(self):
         net = square_rosa_net(24)
@@ -281,6 +307,40 @@ def with_meta(blob: bytes, meta) -> bytes:
     new_meta = json.dumps(meta, sort_keys=True).encode()
     return (blob[:8] + struct.pack("<I", len(new_meta)) + new_meta
             + blob[12 + meta_len:])
+
+
+def split_tensors(blob: bytes) -> tuple[bytes, dict[str, bytes]]:
+    """blob up to its tensor count, and each whole tensor record by name."""
+    pos = 12 + struct.unpack("<I", blob[8:12])[0]
+    count = struct.unpack("<I", blob[pos:pos + 4])[0]
+    head, pos = blob[:pos], pos + 4
+    records = {}
+    for _ in range(count):
+        name_len = struct.unpack("<I", blob[pos:pos + 4])[0]
+        name = blob[pos + 4:pos + 4 + name_len].decode()
+        rows, cols = struct.unpack("<II", blob[pos + 4 + name_len:pos + 12 + name_len])
+        end = pos + 12 + name_len + 8 * rows * cols
+        records[name], pos = blob[pos:end], end
+    return head, records
+
+
+def join_tensors(head: bytes, records: dict[str, bytes]) -> bytes:
+    return head + struct.pack("<I", len(records)) + b"".join(records.values())
+
+
+def tensor_of(record: bytes) -> np.ndarray:
+    name_len = struct.unpack("<I", record[:4])[0]
+    rows, cols = struct.unpack("<II", record[4 + name_len:12 + name_len])
+    return np.frombuffer(record[12 + name_len:], dtype="<f8").reshape(rows, cols)
+
+
+def with_tensor(blob: bytes, name: str, arr: np.ndarray) -> bytes:
+    """blob with one more 2-D tensor record, as an older encoder wrote it."""
+    head, records = split_tensors(blob)
+    records[name] = (struct.pack("<I", len(name)) + name.encode()
+                     + struct.pack("<II", *arr.shape)
+                     + np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return join_tensors(head, records)
 
 
 def with_layer_value(blob: bytes, layer: int, key: str, value) -> bytes:
@@ -344,7 +404,8 @@ def lora_only_net(seed: int) -> Mlp:
 class TestOldFiles:
     """tests/data/mixed_v1.rsa1 holds mixed_net(40) with its rosa layer's
     steps_since_factorize at 9, written by the format-1 encoder that still
-    stored that counter and kept LoRA in a class of its own."""
+    stored that counter, kept a w_original copy of the rosa and full
+    layers' start weights, and kept LoRA in a class of its own."""
 
     def test_fixture_is_mixed_and_old(self):
         layers = meta_of(FIXTURE.read_bytes())["layers"]
@@ -352,19 +413,27 @@ class TestOldFiles:
         assert layers[0]["steps_since_factorize"] == 9
 
     def test_loads_and_predicts_identically(self):
-        net = mixed_net(40)
+        starts = []
+        net = mixed_net(40, starts)
         restored = load_checkpoint(FIXTURE)
         x = rng_for(41).standard_normal((4, 7))
         assert np.array_equal(predict(restored, x), predict(net, x))
         lora = restored.layers[1].adapter
-        assert lora.scheme is None and lora.w_original is lora.w_fixed
+        assert lora.scheme is None and np.array_equal(lora.w_fixed, starts[1])
 
-    def test_reencoding_drops_only_step_counter(self):
+    def test_reencoding_drops_step_counter_and_original(self):
+        starts = []
+        net = mixed_net(40, starts)
         old = FIXTURE.read_bytes()
         meta = meta_of(old)
         del meta["layers"][0]["steps_since_factorize"]
-        assert encode_checkpoint(decode_checkpoint(old)) == with_meta(old, meta)
-        assert encode_checkpoint(mixed_net(40)) == with_meta(old, meta)
+        head, records = split_tensors(with_meta(old, meta))
+        for layer in (0, 3):
+            dropped = tensor_of(records.pop(f"layer{layer}.w_original"))
+            assert np.array_equal(dropped, starts[layer])
+        new = join_tensors(head, records)
+        assert encode_checkpoint(decode_checkpoint(old)) == new
+        assert encode_checkpoint(net) == new
 
     def test_lora_only_bytes_unchanged(self):
         blob = encode_checkpoint(lora_only_net(41))

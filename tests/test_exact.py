@@ -21,7 +21,6 @@ from rosa.exact import (
     least_squares,
     lora_error_lower_bound,
     predicted_rounds,
-    random_instance,
     realizable_instance,
     residual_rank,
     rosa_exact_iterate,
@@ -36,6 +35,7 @@ from oracles import (
     gd_rank_limited,
     gram_schmidt_projection,
     projection_onto_range,
+    random_instance,
     reference_error_floor,
     truncated_move_weights,
 )

@@ -204,8 +204,8 @@ def net_arrays(net: Mlp) -> list[np.ndarray]:
 
 
 class TestFlatAdamWAgainstLoop:
-    # Resets between steps leave the keys on different step counts, which
-    # takes the per-element bias-correction path.
+    # Resets between steps leave the keys on different step counts, so the
+    # bias corrections split into several runs, not all of them adjacent.
     RESETS = {3: [(0, ("a", "b"))], 5: [(1, ("a",)), (0, ("bias",))],
               6: [(1, ("b", "bias"))]}
 
@@ -258,6 +258,16 @@ class TestFlatAdamWAgainstLoop:
 
 
 class TestFlatLayout:
+    def test_biases_follow_matrix_keys(self):
+        # A factorize event resets every layer's (a, b) together: with the
+        # biases last, those keys form one run of equal step counts.
+        opt = AdamW(learning_rate=0.01)
+        net = rosa_bias_net(15)
+        opt.step(net, grads_for(net, 0))
+        keys = [(i, name) for i, name, _, _ in opt._flat.layout]
+        assert keys == [(0, "a"), (0, "b"), (1, "a"), (1, "b"),
+                        (0, "bias"), (1, "bias")]
+
     def test_other_network_shape_rejected(self):
         opt = AdamW(learning_rate=0.01)
         net = rosa_bias_net(14)

@@ -105,6 +105,13 @@ class TestSyntheticTask:
         assert t.y_train.shape == (4, 32)
         assert t.x_val.shape == (6, 16)
 
+    def test_training_arrays_column_contiguous(self):
+        # One sample per column: a minibatch gather copies whole columns.
+        t = tiny_task()
+        assert t.x_train.flags.f_contiguous and t.y_train.flags.f_contiguous
+        cols = np.array([5, 0, 17])
+        assert t.x_train[:, cols].flags.f_contiguous
+
     def test_drift_rank_bounded_by_dims(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(layer_dims=(6, 8, 4), drift_rank=5)
@@ -139,6 +146,42 @@ class TestAdaptNetwork:
         net = adapt_network(t.base, quick(), np.random.default_rng(0))
         net.layers[0].adapter.a += 1.0
         for w, layer in zip(before, t.base.layers):
+            assert np.array_equal(layer.adapter.effective_weight(), w)
+
+
+def all_arrays(net) -> list[np.ndarray]:
+    """Every array a net holds: each adapter's fields and each bias."""
+    return [arr for layer in net.layers
+            for arr in (*vars(layer.adapter).values(), layer.bias)
+            if isinstance(arr, np.ndarray)]
+
+
+class TestDriftReference:
+    """The start snapshot is a run's only drift reference (adapters keep no
+    copy of their start weight), so nothing trained may alias it."""
+
+    METHODS = [("ft", None), ("lora", 2), ("rosa", 2), ("ia3", None)]
+
+    @pytest.mark.parametrize("method, rank", METHODS)
+    def test_adapted_net_shares_no_memory_with_base(self, method, rank):
+        t = tiny_task()
+        net = adapt_network(t.base, quick(method, rank), np.random.default_rng(0))
+        for arr in all_arrays(net):
+            for other in all_arrays(t.base):
+                assert not np.shares_memory(arr, other)
+
+    @pytest.mark.parametrize("method, rank", METHODS)
+    def test_trained_net_shares_no_memory_with_snapshot(self, method, rank):
+        t = tiny_task()
+        result = run_training(quick(method, rank), t)
+        for arr in all_arrays(result.net):
+            for other in all_arrays(result.initial_net) + all_arrays(t.base):
+                assert not np.shares_memory(arr, other)
+        before = [layer.adapter.effective_weight()
+                  for layer in result.initial_net.layers]
+        for arr in all_arrays(result.net):
+            arr += 1.0
+        for w, layer in zip(before, result.initial_net.layers):
             assert np.array_equal(layer.adapter.effective_weight(), w)
 
 

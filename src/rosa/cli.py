@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: train, theorem, spectrum, ablate, schemes. Configuration for
-training comes from an optional JSON file (keys mirror TrainConfig, with an
-optional "data" object mirroring SyntheticSpec) plus flag overrides; flags
-win. Each JSON value is checked against its field's type before any config
-is built. Exit codes: 0 success, 2 bad configuration, 3 numeric failure,
-4 I/O or file-format failure.
+Subcommands: train, theorem, spectrum, and the grids ablate, schemes and
+compare. Configuration for training comes from an optional JSON file (keys
+mirror TrainConfig, with an optional "data" object mirroring SyntheticSpec)
+plus flag overrides; flags win; a grid reads only "data". Each JSON value
+is checked against its field's type before any config is built. Exit codes:
+0 success, 2 bad configuration, 3 numeric failure, 4 I/O or file-format
+failure.
 """
 
 from __future__ import annotations
@@ -22,27 +23,28 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (CheckpointFormatError, ConfigError, InvalidInputError,
-                     NumericError, RosaError)
-from .experiments import (run_ablation_grid, run_scheme_grid,
-                          run_theorem_suite, spectrum_report,
+                     RosaError)
+from .experiments import (run_ablation_grid, run_method_comparison,
+                          run_scheme_grid, run_theorem_suite, spectrum_report,
                           write_spectrum_csv)
 from .fileio import write_json
-from .synthetic import SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
 from .training import (TrainConfig, run_training, write_metrics_csv,
                        write_summary_json)
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: int but not bool,
-    float also from int, str, bool, tuple of int from a JSON list, and
-    None only where the annotation allows it."""
+    float also from an int within float range, str, bool, tuple of int from
+    a JSON list, and None only where the annotation allows it."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return isinstance(value, list) and all(_fits(v, item) for v in value)
     if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, float)
+                or _fits(value, int) and abs(value) <= sys.float_info.max)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if hint is type(None):
@@ -81,7 +83,7 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("config", f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or a too long int
         raise ConfigError("config", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -111,6 +113,7 @@ def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
 
 
 def _ensure_out(args) -> Path:
+    """Make --out; every command does so before its work, not after it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -138,6 +141,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_theorem(args) -> int:
+    out = _ensure_out(args) if args.out else None
     report = run_theorem_suite(n=args.samples, d=args.inputs, p=args.outputs,
                                residual_rank=args.residual_rank,
                                ranks=tuple(args.ranks), seed=args.seed)
@@ -156,8 +160,7 @@ def cmd_theorem(args) -> int:
     print(f"noisy plateau {noisy['plateau_error']:.6e} vs irreducible "
           f"{noisy['irreducible_error']:.6e} ok={noisy['plateau_ok']}")
     print(f"all_ok={report['all_ok']}")
-    if args.out:
-        out = _ensure_out(args)
+    if out:
         write_json(report, out / "theorem.json")
         print(f"wrote {out / 'theorem.json'}")
     return 0 if report["all_ok"] else 3
@@ -166,8 +169,8 @@ def cmd_theorem(args) -> int:
 def cmd_spectrum(args) -> int:
     initial = load_checkpoint(args.initial)
     final = load_checkpoint(args.final)
-    report = spectrum_report(initial, final)
     out = _ensure_out(args)
+    report = spectrum_report(initial, final)
     write_spectrum_csv(report, out / "spectrum.csv")
     for entry in report:
         sigma = entry["sigma"]
@@ -182,8 +185,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _grid_common(args) -> tuple:
-    """The task, rank, epochs and seed of an ablate or schemes grid.
+def _grid_common(args) -> tuple[SyntheticTask, Path]:
+    """The task of a grid command and its output directory.
 
     The grid fixes its own training configs, so a config file may hold only
     a "data" object; any other top-level key raises ConfigError.
@@ -195,38 +198,58 @@ def _grid_common(args) -> tuple:
                           f"not used by '{args.command}', which takes only "
                           f"a \"data\" object from its config file")
     spec = SyntheticSpec(**_data_fields(file_cfg.get("data", {})))
-    task = generate_synthetic(spec)
-    rank = args.rank if args.rank is not None else 12
-    epochs = args.epochs if args.epochs is not None else 100
-    seed = args.seed if args.seed is not None else 0
-    return task, rank, epochs, seed
+    out = _ensure_out(args)
+    return generate_synthetic(spec), out
 
 
 def cmd_ablate(args) -> int:
-    task, rank, epochs, seed = _grid_common(args)
-    grid = run_ablation_grid(task, rank, epochs=epochs, seed=seed)
+    task, out = _grid_common(args)
+    grid = run_ablation_grid(task, args.rank, epochs=args.epochs,
+                             seed=args.seed)
     print(f"{'variant':>20} {'best_lr':>8} {'final_val_loss':>14}")
     for row in grid["rows"]:
         print(f"{row['variant']:>20} {row['best_lr']:>8} "
               f"{row['final_val_loss']:>14.6e}")
     print(f"expected ordering (full <= init+factorize <= init-only) held: "
           f"{grid['expected_order_held']}")
-    out = _ensure_out(args)
     write_json(grid, out / "ablate.json")
     print(f"wrote {out / 'ablate.json'}")
     return 0
 
 
 def cmd_schemes(args) -> int:
-    task, rank, epochs, seed = _grid_common(args)
-    grid = run_scheme_grid(task, rank, epochs=epochs, seed=seed)
+    task, out = _grid_common(args)
+    grid = run_scheme_grid(task, args.rank, epochs=args.epochs,
+                           seed=args.seed)
     print(f"{'scheme':>8} {'best_lr':>8} {'final_val_loss':>14}")
     for row in grid["rows"]:
         print(f"{row['scheme']:>8} {row['best_lr']:>8} "
               f"{row['final_val_loss']:>14.6e}")
-    out = _ensure_out(args)
     write_json(grid, out / "schemes.json")
     print(f"wrote {out / 'schemes.json'}")
+    return 0
+
+
+def cmd_compare(args) -> int:
+    task, out = _grid_common(args)
+    entries = [("ft", None)] + [(method, rank) for method in ("rosa", "lora")
+                                for rank in args.ranks]
+    cells = run_method_comparison(task, entries, epochs=args.epochs,
+                                  seed=args.seed)
+    print(f"{'method':>6} {'rank':>4} {'best lr':>8} {'final val loss':>14}")
+    for cell in cells:
+        rank = "-" if cell["rank"] is None else cell["rank"]
+        print(f"{cell['method']:>6} {rank:>4} {cell['best_lr']:>8g} "
+              f"{cell['final_val_loss']:>14.6e}")
+    print()
+    print("per-layer drift ranks (numerical rank of the weight move):")
+    for cell in cells:
+        ranks = cell.pop("result").summary["final_residual_ranks"]
+        cell["final_residual_ranks"] = ranks
+        if cell["method"] != "ft":
+            print(f"  {cell['method']} r={cell['rank']}: {ranks}")
+    write_json(cells, out / "compare.json")
+    print(f"wrote {out / 'compare.json'}")
     return 0
 
 
@@ -274,15 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = sub.add_parser("ablate", help="staged-variant comparison grid")
     schemes = sub.add_parser("schemes", help="sampling-scheme comparison grid")
-    for grid_parser in (ablate, schemes):
+    compare = sub.add_parser("compare", help="method comparison grid")
+    for grid_parser in (ablate, schemes, compare):
         grid_parser.add_argument("--config", help="JSON config file (data section)")
         grid_parser.add_argument("--out", required=True, help="output directory")
-        grid_parser.add_argument("--rank", type=int)
-        grid_parser.add_argument("--epochs", type=int)
-        grid_parser.add_argument("--seed", type=int)
+        grid_parser.add_argument("--epochs", type=int, default=100)
+        grid_parser.add_argument("--seed", type=int, default=0)
+    for grid_parser in (ablate, schemes):
+        grid_parser.add_argument("--rank", type=int, default=12)
+    compare.add_argument("--ranks", type=int, nargs="+", default=[2, 6, 12])
     ablate.set_defaults(func=cmd_ablate)
     schemes.set_defaults(func=cmd_schemes)
+    compare.set_defaults(func=cmd_compare)
     return parser
+
+
+# The exit code of each failure. The first type that matches wins, so a
+# subclass of RosaError comes before it.
+_EXIT_CODES = {ConfigError: 2, InvalidInputError: 2,
+               CheckpointFormatError: 4, OSError: 4,
+               RosaError: 3, np.linalg.LinAlgError: 3}
 
 
 def main(argv=None) -> int:
@@ -293,21 +327,10 @@ def main(argv=None) -> int:
         # on the way there would only report it a second time.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInputError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NumericError, RosaError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Experiment drivers shared by the CLI, the scripts, and the test suite.
+"""Experiment drivers shared by the CLI and the test suite.
 
 Three families: the exact-solver suite on linear instances, learning-rate
 sweeps of the synthetic teacher-student task, and the residual-spectrum
@@ -232,8 +232,8 @@ def _run_cells(task: SyntheticTask,
 
 
 def _best_of(base_config: TrainConfig, lrs: tuple[float, ...],
-             results: list[TrainResult | None]) -> dict:
-    """One sweep's rows and its best finished run (see sweep_learning_rates)."""
+             results: list[TrainResult | None]) -> tuple[dict, TrainResult]:
+    """One sweep's JSON row (see sweep_learning_rates) and its best run."""
     best_result = None
     best_lr = None
     rows = []
@@ -259,12 +259,14 @@ def _best_of(base_config: TrainConfig, lrs: tuple[float, ...],
             f"training diverged at every learning rate {list(lrs)} "
             f"for method '{base_config.method}'"
         )
-    return {"best": best_result, "best_lr": best_lr, "rows": rows}
+    return {"best_lr": best_lr,
+            "final_val_loss": best_result.summary["final_val_loss"],
+            "lr_rows": rows}, best_result
 
 
 def _sweep_all(task: SyntheticTask, bases: list[TrainConfig],
-               lrs: tuple[float, ...]) -> list[dict]:
-    """sweep_learning_rates for each base config, all cells in one split."""
+               lrs: tuple[float, ...]) -> list[tuple[dict, TrainResult]]:
+    """_best_of for each base config's sweep, all cells in one split."""
     if not lrs:
         raise InvalidInputError("learning-rate grid is empty")
     configs = [replace(base, lr=lr) for base in bases for lr in lrs]
@@ -281,35 +283,32 @@ def sweep_learning_rates(task: SyntheticTask, base_config: TrainConfig,
     Best means lowest final validation loss among the rates that finished.
     A rate whose run raises NumericError is recorded as a diverged row with
     None losses instead of ending the sweep; if every rate diverges the
-    sweep raises NumericError naming them. Returns the winning TrainResult
-    under 'best' plus a JSON-friendly per-rate row list.
+    sweep raises NumericError naming them. Returns the JSON row (best_lr,
+    final_val_loss, per-rate lr_rows) and the winning TrainResult under
+    'result'.
     """
-    return _sweep_all(task, [base_config], lrs)[0]
+    row, best = _sweep_all(task, [base_config], lrs)[0]
+    return {**row, "result": best}
 
 
 def run_method_comparison(task: SyntheticTask,
                           entries: list[tuple[str, int | None]], *,
                           epochs: int, lrs: tuple[float, ...] = LR_GRID,
-                          seed: int = 0, batch_size: int = 128,
-                          factorize_every: int = 1) -> list[dict]:
-    """Best-of-LR sweep for each (method, rank) entry on one task."""
+                          seed: int = 0, batch_size: int = 64,
+                          factorize_every: int = 4) -> list[dict]:
+    """sweep_learning_rates for each (method, rank) entry, labelled with it;
+    the defaults are the acceptance grid's batch size and re-sample period."""
     bases = [TrainConfig(method=method, rank=rank, epochs=epochs, seed=seed,
                          batch_size=batch_size,
                          factorize_every=factorize_every)
              for method, rank in entries]
-    return [{
-        "method": method,
-        "rank": rank,
-        "best_lr": sweep["best_lr"],
-        "final_val_loss": sweep["best"].summary["final_val_loss"],
-        "result": sweep["best"],
-        "lr_rows": sweep["rows"],
-    } for (method, rank), sweep in zip(entries, _sweep_all(task, bases, lrs))]
+    return [{"method": method, "rank": rank, **row, "result": best}
+            for (method, rank), (row, best)
+            in zip(entries, _sweep_all(task, bases, lrs))]
 
 
 def run_ablation_grid(task: SyntheticTask, rank: int, *, epochs: int,
-                      lrs: tuple[float, ...] = LR_GRID, seed: int = 0,
-                      batch_size: int = 128, factorize_every: int = 1) -> dict:
+                      lrs: tuple[float, ...] = LR_GRID, seed: int = 0) -> dict:
     """Compare LoRA against the three staged variants of the subspace method.
 
     Variants: init from the decomposition but added on top of the intact
@@ -318,47 +317,27 @@ def run_ablation_grid(task: SyntheticTask, rank: int, *, epochs: int,
     validation losses is reported, not asserted, since it is a stochastic
     tendency rather than a guarantee.
     """
-    variants = [
-        ("lora", TrainConfig(method="lora", rank=rank, epochs=epochs,
-                             seed=seed, batch_size=batch_size)),
-        ("svd_init_only", TrainConfig(method="rosa", rank=rank,
-                                      ablation="svd_init_only", epochs=epochs,
-                                      seed=seed, batch_size=batch_size)),
-        ("svd_init_factorize", TrainConfig(method="rosa", rank=rank,
-                                           ablation="svd_init_factorize",
-                                           epochs=epochs, seed=seed,
-                                           batch_size=batch_size)),
-        ("full", TrainConfig(method="rosa", rank=rank, ablation="full",
-                             epochs=epochs, seed=seed, batch_size=batch_size,
-                             factorize_every=factorize_every)),
-    ]
-    sweeps = _sweep_all(task, [config for _, config in variants], lrs)
-    rows = []
-    by_name = {}
-    for (name, _), sweep in zip(variants, sweeps):
-        loss = sweep["best"].summary["final_val_loss"]
-        by_name[name] = loss
-        rows.append({"variant": name, "best_lr": sweep["best_lr"],
-                     "final_val_loss": loss, "lr_rows": sweep["rows"]})
-    expected_order_held = (by_name["full"] <= by_name["svd_init_factorize"]
-                          <= by_name["svd_init_only"])
+    variants = ("svd_init_only", "svd_init_factorize", "full")
+    bases = [TrainConfig(method="lora", rank=rank, epochs=epochs, seed=seed)]
+    bases += [TrainConfig(method="rosa", rank=rank, ablation=variant,
+                          epochs=epochs, seed=seed) for variant in variants]
+    rows = [{"variant": name, **row} for name, (row, _)
+            in zip(("lora",) + variants, _sweep_all(task, bases, lrs))]
+    loss = {row["variant"]: row["final_val_loss"] for row in rows}
+    expected_order_held = (loss["full"] <= loss["svd_init_factorize"]
+                           <= loss["svd_init_only"])
     return {"rank": rank, "rows": rows,
             "expected_order_held": bool(expected_order_held)}
 
 
 def run_scheme_grid(task: SyntheticTask, rank: int, *, epochs: int,
-                    lrs: tuple[float, ...] = LR_GRID, seed: int = 0,
-                    batch_size: int = 128, factorize_every: int = 1) -> dict:
+                    lrs: tuple[float, ...] = LR_GRID, seed: int = 0) -> dict:
     """Compare index-sampling schemes for the full subspace method."""
     schemes = ("top", "bottom", "random")
     bases = [TrainConfig(method="rosa", rank=rank, scheme=scheme,
-                         epochs=epochs, seed=seed, batch_size=batch_size,
-                         factorize_every=factorize_every)
-             for scheme in schemes]
-    rows = [{"scheme": scheme, "best_lr": sweep["best_lr"],
-             "final_val_loss": sweep["best"].summary["final_val_loss"],
-             "lr_rows": sweep["rows"]}
-            for scheme, sweep in zip(schemes, _sweep_all(task, bases, lrs))]
+                         epochs=epochs, seed=seed) for scheme in schemes]
+    rows = [{"scheme": scheme, **row} for scheme, (row, _)
+            in zip(schemes, _sweep_all(task, bases, lrs))]
     return {"rank": rank, "rows": rows}
 
 
@@ -401,12 +380,3 @@ def write_spectrum_csv(report: list[dict], path) -> None:
             lines.append(f"{entry['layer']},{j},{s!r},{c!r}")
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def strip_results(cells: list[dict]) -> list[dict]:
-    """Copy of comparison cells without the in-memory TrainResult objects."""
-    out = []
-    for cell in cells:
-        slim = {k: v for k, v in cell.items() if k != "result"}
-        out.append(slim)
-    return out

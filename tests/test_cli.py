@@ -16,10 +16,14 @@ import rosa.experiments
 from rosa.adapters import full_init
 from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.cli import main
+from rosa.experiments import run_method_comparison
 from rosa.network import Activation, DenseLayer, Mlp, predict
+from rosa.synthetic import SyntheticSpec, generate_synthetic
 
 TINY_DATA = {"layer_dims": [6, 8, 4], "drift_rank": 2, "n_train": 32,
              "n_val": 16, "seed": 0}
+GRIDS = ["ablate", "schemes", "compare"]
+RANK_FLAG = {"ablate": "--rank", "schemes": "--rank", "compare": "--ranks"}
 
 
 def write_config(tmp_path, name="config.json", **updates):
@@ -109,6 +113,10 @@ class TestExitCodes:
         ({"method": "ft", "lr": float("inf")}, "lr"),
         ({"method": "ft", "data": {"drift_scale": float("inf")}}, "drift_scale"),
         ({"method": "ft", "data": {"input_sigma": float("nan")}}, "input_sigma"),
+        # Integers beyond float range.
+        ({"method": "ft", "lr": 10**400}, "lr"),
+        ({"method": "ft", "weight_decay": 10**400}, "weight_decay"),
+        ({"method": "ft", "data": {"input_sigma": 10**400}}, "input_sigma"),
     ])
     def test_mistyped_config_value_is_2(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -120,11 +128,12 @@ class TestExitCodes:
         assert f"error: config field '{field}'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    @pytest.mark.parametrize("command", GRIDS)
     @pytest.mark.parametrize("data, field", [
         ({"layer_dims": [6, 8.5, 4]}, "layer_dims"),
         ({"drift_scale": True}, "drift_scale"),
         ({"seed": -1}, "seed"),
+        ({"drift_scale": 10**400}, "drift_scale"),
     ])
     def test_grid_mistyped_data_is_2(self, tmp_path, capsys, command, data,
                                      field):
@@ -153,6 +162,42 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["train", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("content", [
+        # Python refuses to read an integer of more than 4300 digits.
+        b'{"lr": 1' + b"0" * 5000 + b"}",
+        b'{"lr": "\xff"}',
+    ], ids=["long-integer", "not-utf8"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code = main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config field 'config': not valid JSON")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train"] + GRIDS)
+    def test_out_is_a_file_is_4_before_training(self, tmp_path, monkeypatch,
+                                                capsys, command):
+        def must_not_run(config, task):
+            raise AssertionError("trained before making --out")
+
+        monkeypatch.setattr(rosa.cli, "run_training", must_not_run)
+        monkeypatch.setattr(rosa.experiments, "run_training", must_not_run)
+        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 1)
+        config = {"data": TINY_DATA}
+        if command == "train":
+            config["method"] = "ft"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main([command, "--config", str(path), "--epochs", "1",
+                     "--out", str(out)])
+        assert code == 4
+        assert "File exists" in capsys.readouterr().err
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.json"),
@@ -315,12 +360,12 @@ class TestSpectrum:
 
 
 class TestGrids:
-    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    @pytest.mark.parametrize("command", GRIDS)
     def test_top_level_training_fields_are_2(self, tmp_path, capsys, command):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"method": "ft", "lr": 5, "data": TINY_DATA}))
         out = tmp_path / "g"
-        code = main([command, "--config", str(cfg), "--rank", "2",
+        code = main([command, "--config", str(cfg), RANK_FLAG[command], "2",
                      "--epochs", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
@@ -329,14 +374,58 @@ class TestGrids:
         assert "Traceback" not in err
         assert not (out / f"{command}.json").exists()
 
-    @pytest.mark.parametrize("command", ["ablate", "schemes"])
+    @pytest.mark.parametrize("command", GRIDS)
     def test_data_only_config_is_0(self, tmp_path, command):
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))
         out = tmp_path / "g"
-        assert main([command, "--config", str(cfg), "--rank", "2",
+        assert main([command, "--config", str(cfg), RANK_FLAG[command], "2",
                      "--epochs", "1", "--out", str(out)]) == 0
         assert (out / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("command, batch_size, factorize_every", [
+        ("ablate", 128, 1), ("schemes", 128, 1), ("compare", 64, 4)])
+    def test_grid_training_knobs(self, tmp_path, monkeypatch, command,
+                                 batch_size, factorize_every):
+        # ablate and schemes train at the TrainConfig defaults, compare at
+        # the acceptance grid's batch size and re-sampling period.
+        seen = []
+        real = rosa.experiments.run_training
+
+        def recording(config, task):
+            seen.append(config)
+            return real(config, task)
+
+        monkeypatch.setattr(rosa.experiments, "run_training", recording)
+        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 1)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"data": TINY_DATA}))
+        assert main([command, "--config", str(cfg), RANK_FLAG[command], "2",
+                     "--epochs", "1", "--out", str(tmp_path / "g")]) == 0
+        assert seen
+        assert {(c.batch_size, c.factorize_every) for c in seen} == \
+               {(batch_size, factorize_every)}
+
+    def test_compare_writes_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"data": TINY_DATA}))
+        out = tmp_path / "c"
+        code = main(["compare", "--config", str(cfg), "--ranks", "2",
+                     "--epochs", "3", "--out", str(out)])
+        assert code == 0
+        rows = json.loads((out / "compare.json").read_text())
+        task = generate_synthetic(SyntheticSpec(
+            **dict(TINY_DATA, layer_dims=tuple(TINY_DATA["layer_dims"]))))
+        cells = run_method_comparison(
+            task, [("ft", None), ("rosa", 2), ("lora", 2)], epochs=3,
+            batch_size=64, factorize_every=4)
+        assert len(rows) == len(cells)
+        for row, cell in zip(rows, cells):
+            ranks = cell.pop("result").summary["final_residual_ranks"]
+            assert row == {**cell, "final_residual_ranks": ranks}
+        printed = capsys.readouterr().out
+        assert "final val loss" in printed
+        assert f"rosa r=2: {rows[1]['final_residual_ranks']}" in printed
 
     def test_ablate_writes_grid(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
@@ -393,7 +482,9 @@ JSON_VALUES = st.recursive(
 
 
 # Values that fail a field's type or range check, beside any JSON value.
-FLOATS = st.floats()
+# An integer beyond float range is no valid float.
+FLOATS = st.floats() | st.integers(min_value=2**1024) \
+    | st.integers(max_value=-2**1024)
 BAD_TRAIN = {
     "method": st.sampled_from(["IA3", "dora"]),
     "rank": st.integers(-1, 9),
@@ -422,16 +513,26 @@ BAD_DATA = {
     "n_val": st.integers(-1, 0),
     "seed": st.just(-1),
 }
+# A tiny task. The defaults of the first four set a large task, or one
+# drift_rank 24 does not fit; every layer is at least 2 wide, so ranks 1
+# and 2 always fit.
+TINY_TASKS = st.fixed_dictionaries({
+    "layer_dims": st.lists(st.integers(2, 6), min_size=2, max_size=4),
+    "n_train": st.integers(1, 24),
+    "n_val": st.integers(1, 8),
+    "drift_rank": st.integers(1, 2),
+}, optional={
+    "drift_scale": st.floats(0.1, 4.0),
+    "input_sigma": st.floats(0.1, 4.0),
+    "seed": st.integers(0, 2**40),
+})
 
 
 @st.composite
-def train_configs(draw):
-    """A valid `rosa train` config on a tiny task, then up to two of: a
-    field set to a mistyped or out-of-range value, an unknown key (at the
-    top level or in "data"), a "data" entry that is no object."""
+def train_fields(draw):
+    """The training fields of a valid `rosa train` config."""
     method = draw(st.sampled_from(["ft", "lora", "rosa", "ia3"]))
     factored = method in ("rosa", "lora")
-    # Every layer is at least 2 wide, so ranks 1 and 2 always fit.
     config = draw(st.fixed_dictionaries({}, optional={
         "factorize_every": st.integers(1, 4),
         "factorize_unit": st.sampled_from(["steps", "epochs"]),
@@ -453,21 +554,21 @@ def train_configs(draw):
     }))
     config["method"] = method
     config["rank"] = draw(st.integers(1, 2)) if factored else None
-    # The defaults of these four set a large task, or one drift_rank 24
-    # does not fit.
-    config["data"] = draw(st.fixed_dictionaries({
-        "layer_dims": st.lists(st.integers(2, 6), min_size=2, max_size=4),
-        "n_train": st.integers(1, 24),
-        "n_val": st.integers(1, 8),
-        "drift_rank": st.integers(1, 2),
-    }, optional={
-        "drift_scale": st.floats(0.1, 4.0),
-        "input_sigma": st.floats(0.1, 4.0),
-        "seed": st.integers(0, 2**40),
-    }))
+    return config
+
+
+@st.composite
+def configs(draw, data_only=False):
+    """A valid config on a tiny task, then up to two of: a field set to a
+    mistyped or out-of-range value, an unknown key (at the top level or in
+    "data"), a "data" entry that is no object. A data_only config, as the
+    grids take it, holds "data" alone and only "data" is changed."""
+    config = {} if data_only else draw(train_fields())
+    config["data"] = draw(TINY_TASKS)
+    changes = [] if data_only else ["bad", "unknown"]
+    changes += ["bad data", "unknown data", "data no object"]
     for _ in range(draw(st.integers(0, 2))):
-        change = draw(st.sampled_from(["bad", "unknown", "bad data",
-                                       "unknown data", "data no object"]))
+        change = draw(st.sampled_from(changes))
         if change == "data no object":
             config["data"] = draw(JSON_VALUES)
             continue
@@ -485,10 +586,9 @@ def train_configs(draw):
     return config
 
 
-@settings(deadline=None, max_examples=150)
-@given(config=train_configs())
-def test_config_fuzz_exits_with_a_code(config):
-    """Any JSON config: a documented exit code, one error line, no traceback."""
+def check_config_run(config, *argv):
+    """Run main(argv) with --config CONFIG and a fresh --out: a documented
+    exit code, one error line on failure, no traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -496,10 +596,24 @@ def test_config_fuzz_exits_with_a_code(config):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main(["train", "--config", path,
-                         "--out", os.path.join(tmp, "o"), "--epochs", "1"])
+            code = main([*argv, "--config", path,
+                         "--out", os.path.join(tmp, "o")])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if code != 0:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=configs())
+def test_config_fuzz_exits_with_a_code(config):
+    """Any JSON config: a documented exit code, one error line, no traceback."""
+    check_config_run(config, "train", "--epochs", "1")
+
+
+@settings(deadline=None, max_examples=40)
+@given(command=st.sampled_from(GRIDS), config=configs(data_only=True))
+def test_grid_config_fuzz_exits_with_a_code(command, config):
+    """Any "data" object on a grid command, as for train above."""
+    check_config_run(config, command, RANK_FLAG[command], "1", "--epochs", "1")

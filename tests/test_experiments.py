@@ -20,7 +20,6 @@ from rosa.experiments import (
     run_scheme_grid,
     run_theorem_suite,
     spectrum_report,
-    strip_results,
     sweep_learning_rates,
     write_spectrum_csv,
 )
@@ -93,10 +92,10 @@ class TestLrSweep:
         task = generate_synthetic(SMALL)
         base = TrainConfig(method="rosa", rank=2, epochs=3, batch_size=16)
         sweep = sweep_learning_rates(task, base, lrs=(1e-3, 1e-2))
-        assert len(sweep["rows"]) == 2
-        best_row = min(sweep["rows"], key=lambda r: r["final_val_loss"])
+        assert len(sweep["lr_rows"]) == 2
+        best_row = min(sweep["lr_rows"], key=lambda r: r["final_val_loss"])
         assert sweep["best_lr"] == best_row["lr"]
-        assert sweep["best"].summary["final_val_loss"] == \
+        assert sweep["result"].summary["final_val_loss"] == \
                best_row["final_val_loss"]
 
     def test_empty_grid_rejected(self):
@@ -123,8 +122,8 @@ class TestLrSweep:
         base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
         self.diverge_at(monkeypatch, {1e-2})
         sweep = sweep_learning_rates(task, base, lrs=(1e-2, 1e-3, 1e-4))
-        rows = {row["lr"]: row for row in sweep["rows"]}
-        assert [row["lr"] for row in sweep["rows"]] == [1e-2, 1e-3, 1e-4]
+        rows = {row["lr"]: row for row in sweep["lr_rows"]}
+        assert [row["lr"] for row in sweep["lr_rows"]] == [1e-2, 1e-3, 1e-4]
         assert rows[1e-2]["diverged"] is True
         assert rows[1e-2]["final_val_loss"] is None
         assert rows[1e-2]["best_val_loss"] is None
@@ -133,9 +132,9 @@ class TestLrSweep:
         assert all(row["diverged"] is False for row in finished)
         best_row = min(finished, key=lambda r: r["final_val_loss"])
         assert sweep["best_lr"] == best_row["lr"]
-        assert sweep["best"].summary["final_val_loss"] == \
+        assert sweep["result"].summary["final_val_loss"] == \
                best_row["final_val_loss"]
-        json.dumps(sweep["rows"])
+        json.dumps(sweep["lr_rows"])
 
     def test_every_rate_diverged_raises(self, monkeypatch):
         task = generate_synthetic(SMALL)
@@ -198,6 +197,10 @@ def assert_same_net(got, want):
                 assert value == other, name
 
 
+def without_result(cell):
+    return {k: v for k, v in cell.items() if k != "result"}
+
+
 def assert_same_result(got, want):
     assert got.summary == want.summary
     assert got.records == want.records
@@ -222,10 +225,10 @@ class TestWorkerCount:
         base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
         inline, split = self.run_both(
             workers, lambda: sweep_learning_rates(task, base, self.LRS))
-        assert [row["lr"] for row in split["rows"]] == list(self.LRS)
-        assert split["rows"] == inline["rows"]
+        assert [row["lr"] for row in split["lr_rows"]] == list(self.LRS)
+        assert split["lr_rows"] == inline["lr_rows"]
         assert split["best_lr"] == inline["best_lr"]
-        assert_same_result(split["best"], inline["best"])
+        assert_same_result(split["result"], inline["result"])
 
     def test_method_comparison(self, workers):
         task = generate_synthetic(SMALL)
@@ -236,21 +239,21 @@ class TestWorkerCount:
                 factorize_every=2))
         assert [(c["method"], c["rank"]) for c in split] == entries
         for got, want in zip(split, inline):
-            assert strip_results([got]) == strip_results([want])
+            assert without_result(got) == without_result(want)
             assert_same_result(got["result"], want["result"])
 
     def test_ablation_grid(self, workers):
         task = generate_synthetic(SMALL)
         inline, split = self.run_both(
-            workers, lambda: run_ablation_grid(task, 2, epochs=2, lrs=self.LRS,
-                                               batch_size=16))
+            workers, lambda: run_ablation_grid(task, 2, epochs=2,
+                                               lrs=self.LRS))
         assert split == inline
 
     def test_scheme_grid(self, workers):
         task = generate_synthetic(SMALL)
         inline, split = self.run_both(
-            workers, lambda: run_scheme_grid(task, 2, epochs=2, lrs=self.LRS,
-                                             batch_size=16))
+            workers, lambda: run_scheme_grid(task, 2, epochs=2,
+                                             lrs=self.LRS))
         assert split == inline
 
     def test_no_more_workers_than_cells(self, workers):
@@ -259,7 +262,7 @@ class TestWorkerCount:
         forked = workers(8)
         sweep = sweep_learning_rates(task, base, (1e-2, 1e-3))
         assert len(forked) == 1
-        assert len(sweep["rows"]) == 2
+        assert len(sweep["lr_rows"]) == 2
 
     def test_inline_beside_other_threads(self, workers):
         task = generate_synthetic(SMALL)
@@ -275,7 +278,7 @@ class TestWorkerCount:
             other.join(timeout=10)
         assert not other.is_alive()
         assert forked == []
-        assert len(sweep["rows"]) == 2
+        assert len(sweep["lr_rows"]) == 2
 
     def test_split_runs_factorize_serially(self, workers, monkeypatch):
         # Outside a split, 4 CPUs at one BLAS thread each give factorize
@@ -299,7 +302,7 @@ class TestWorkerCount:
         sweep = sweep_learning_rates(task, base, self.LRS)
         assert len(forked) == 1
         assert started == []
-        assert len(sweep["rows"]) == len(self.LRS)
+        assert len(sweep["lr_rows"]) == len(self.LRS)
         assert rosa.linalg._split_budget is None
         assert rosa.linalg._worker_count() == 4
 
@@ -348,9 +351,9 @@ class TestWorkerFailures:
         task = generate_synthetic(SMALL)
         base = TrainConfig(method="rosa", rank=2, epochs=1, batch_size=16)
         sweep = sweep_learning_rates(task, base, self.LRS)
-        assert [row["diverged"] for row in sweep["rows"]] == \
+        assert [row["diverged"] for row in sweep["lr_rows"]] == \
                [False, True, False, False]
-        assert sweep["rows"][1]["final_val_loss"] is None
+        assert sweep["lr_rows"][1]["final_val_loss"] is None
         assert sweep["best_lr"] != 1e-3
 
     @pytest.mark.parametrize("error", [
@@ -441,10 +444,11 @@ class TestMethodComparison:
         assert [c["method"] for c in cells] == ["ft", "rosa"]
         rosa_cfg = cells[1]["result"].summary["config"]
         assert rosa_cfg["factorize_every"] == 2
-        slim = strip_results(cells)
+        # Every cell is its JSON row plus the best run under "result".
+        slim = [without_result(c) for c in cells]
         json.dumps(slim)
-        assert all("result" not in c for c in slim)
-        # Originals keep their result objects.
+        assert all(set(c) == {"method", "rank", "best_lr", "final_val_loss",
+                              "lr_rows"} for c in slim)
         assert all("result" in c for c in cells)
 
 

@@ -95,20 +95,10 @@ def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
     data_cfg = file_cfg.pop("data", {})
     train_cfg = _typed_fields(TrainConfig, file_cfg, "config field")
     data_cfg = _data_fields(data_cfg)
-    overrides = {
-        "method": args.method,
-        "rank": args.rank,
-        "factorize_every": args.factorize_every,
-        "factorize_unit": args.factorize_unit,
-        "scheme": args.scheme,
-        "ablation": args.ablation,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            train_cfg[key] = value
+    # Flags win; each train flag's dest is its TrainConfig field's name.
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    train_cfg.update({key: value for key, value in vars(args).items()
+                      if key in fields and value is not None})
     return TrainConfig(**train_cfg), SyntheticSpec(**data_cfg)
 
 

@@ -26,17 +26,15 @@ data error: x @ w_ls - y is orthogonal to the range of x, so
 ||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible error, which
 each problem computes once.
 
-Each problem decomposes its residual R @ (w_ls - w0) once
+Each problem decomposes its residual R @ (w_ls - w0) once with svd
 (RegressionProblem.residual_factors): the residual spectrum, the
 closed-form optimum at every rank and the first greedy round all read it.
-Every residual m is decomposed as svd(qr(m, mode="r")), the SVD of its own
-triangular factor, which has m's singular values and right singular vectors
-without LAPACK forming m's left factor. A greedy round forms R (w_ls - w)
-once for its new weight w: its squared norm prices the round, and the next
-round decomposes it. The off-range noisy variant of a problem projects its
-draw off the range of x as z - Q (Q^T z) and shares its base's factors and
-residual decomposition, since the noise moves none of them. least_squares,
-the general lstsq route, is kept for callers outside the suite.
+A greedy round forms R (w_ls - w) once for its new weight w: its squared
+norm prices the round, and the next round decomposes it. The off-range
+noisy variant of a problem projects its draw off the range of x as
+z - Q (Q^T z) and shares its base's factors and residual decomposition,
+since the noise moves none of them. least_squares, the general lstsq
+route, is kept for callers outside the suite.
 
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
@@ -128,10 +126,11 @@ class RegressionProblem:
 
     @cached_property
     def residual_factors(self) -> SvdFactors:
-        """Read-only sigma and v of e = x @ (w_ls - w0); see _right_factors."""
-        factors = _right_factors(self.x_r @ (self.w_ls - self.w0))
-        _read_only(factors.sigma)
-        _read_only(factors.v)
+        """Read-only svd of R @ (w_ls - w0), which has the sigma and v of
+        e = x @ (w_ls - w0); x_q @ u is e's left factor."""
+        factors = svd(self.x_r @ (self.w_ls - self.w0))
+        for a in (factors.u, factors.sigma, factors.v):
+            _read_only(a)
         return factors
 
     @property
@@ -159,16 +158,6 @@ class RegressionProblem:
                             residual_factors=self.residual_factors,
                             irreducible=_squared_norm(self.x @ self.w_ls - y))
         return new
-
-
-def _right_factors(m: Array) -> SvdFactors:
-    """sigma and v of the d x p matrix m, from the SVD of its R factor.
-
-    m = QR with orthonormal Q, so R (min(d, p) x p) has the singular values
-    and right singular vectors of m, and LAPACK never forms the d x p left
-    factor. The u returned is R's, not m's: callers read only sigma and v.
-    """
-    return svd(np.linalg.qr(m, mode="r"))
 
 
 def _squared_norm(m: Array) -> float:
@@ -324,7 +313,7 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     v = problem.residual_factors.v
     for step in range(max_steps):
         if step:
-            v = _right_factors(gap).v
+            v = svd(gap).v
         v_r = v[:, :rank]
         w = w + ((problem.w_ls - w) @ v_r) @ v_r.T
         gap = problem.x_r @ (problem.w_ls - w)
@@ -358,6 +347,8 @@ def realizable_instance(n: int, d: int, p: int, residual_rank: int,
         raise InvalidInputError(
             f"residual_rank must be in [0, min(d={d}, p={p})], got {residual_rank}"
         )
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     w0 = rng.standard_normal((d, p))
@@ -380,8 +371,9 @@ def with_off_range_noise(problem: RegressionProblem, scale: float,
     problem's own orthonormal factor. The copy shares the problem's x, w0,
     Q and R factors, least-squares weight and residual decomposition.
     """
-    if scale < 0.0:
-        raise InvalidInputError(f"scale must be >= 0, got {scale}")
+    if scale < 0.0 or seed < 0:
+        raise InvalidInputError(
+            f"scale and seed must be >= 0, got scale={scale}, seed={seed}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(problem.y.shape)
     q = problem.x_q

@@ -38,13 +38,15 @@ LR_GRID = (2e-2, 2e-3, 2e-4, 2e-5)
 
 CONVERGED_REL = 1e-12
 STRICT_BEFORE_REL = 1e-6
+# Greedy rounds run past each prediction; scale of the noisy case's targets.
+EXTRA_STEPS = 2
+NOISE_SCALE = 0.5
 
 
 def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
                       residual_rank: int = 6,
                       ranks: tuple[int, ...] = (1, 2, 3, 6),
-                      seed: int = 0, extra_steps: int = 2,
-                      noise_scale: float = 0.5) -> dict:
+                      seed: int = 0) -> dict:
     """Exercise the exact greedy solver on one realizable instance.
 
     For each correction rank: predicted vs observed round counts (observed
@@ -60,7 +62,7 @@ def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
     cases = []
     for rank in ranks:
         t_pred = predicted_rounds(problem, rank)
-        trace = rosa_exact_iterate(problem, rank, t_pred + extra_steps)
+        trace = rosa_exact_iterate(problem, rank, t_pred + EXTRA_STEPS)
         rel = [err / y_scale for err in trace.errors]
         observed = next((t for t, r in enumerate(rel) if r <= CONVERGED_REL), None)
         rel_before = rel[t_pred - 1] if t_pred >= 1 else None
@@ -84,10 +86,10 @@ def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
             "converged_at_t": converged_ok,
             "strict_before_t": strict_ok,
         })
-    noisy = with_off_range_noise(problem, noise_scale, seed + 1)
+    noisy = with_off_range_noise(problem, NOISE_SCALE, seed + 1)
     rank_n = min(ranks)
     trace_n = rosa_exact_iterate(noisy, rank_n,
-                                 predicted_rounds(noisy, rank_n) + extra_steps)
+                                 predicted_rounds(noisy, rank_n) + EXTRA_STEPS)
     floor = irreducible_error(noisy)
     plateau = trace_n.errors[-1]
     plateau_ok = abs(plateau - floor) <= 1e-9 * max(floor, 1.0)
@@ -96,7 +98,7 @@ def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
         "instance": {"n": n, "d": d, "p": p, "residual_rank": residual_rank,
                      "seed": seed},
         "cases": cases,
-        "noisy_case": {"rank": rank_n, "noise_scale": noise_scale,
+        "noisy_case": {"rank": rank_n, "noise_scale": NOISE_SCALE,
                        "plateau_error": plateau, "irreducible_error": floor,
                        "plateau_ok": plateau_ok},
         "all_ok": all_ok,
@@ -234,31 +236,22 @@ def _run_cells(task: SyntheticTask,
 def _best_of(base_config: TrainConfig, lrs: tuple[float, ...],
              results: list[TrainResult | None]) -> tuple[dict, TrainResult]:
     """One sweep's JSON row (see sweep_learning_rates) and its best run."""
-    best_result = None
-    best_lr = None
     rows = []
     for lr, result in zip(lrs, results):
-        if result is None:
-            rows.append({"lr": lr, "diverged": True, "final_val_loss": None,
-                         "best_val_loss": None, "final_train_loss": None})
-            continue
-        rows.append({
-            "lr": lr,
-            "diverged": False,
-            "final_val_loss": result.summary["final_val_loss"],
-            "best_val_loss": result.summary["best_val_loss"],
-            "final_train_loss": result.summary["final_train_loss"],
-        })
-        if (best_result is None
-                or result.summary["final_val_loss"]
-                < best_result.summary["final_val_loss"]):
-            best_result = result
-            best_lr = lr
-    if best_result is None:
+        row = {"lr": lr, "diverged": result is None}
+        for key in ("final_val_loss", "best_val_loss", "final_train_loss"):
+            row[key] = None if result is None else result.summary[key]
+        rows.append(row)
+    finished = [(lr, result) for lr, result in zip(lrs, results)
+                if result is not None]
+    if not finished:
         raise NumericError(
             f"training diverged at every learning rate {list(lrs)} "
             f"for method '{base_config.method}'"
         )
+    # The first of equal losses wins, as min keeps its first minimum.
+    best_lr, best_result = min(
+        finished, key=lambda pair: pair[1].summary["final_val_loss"])
     return {"best_lr": best_lr,
             "final_val_loss": best_result.summary["final_val_loss"],
             "lr_rows": rows}, best_result

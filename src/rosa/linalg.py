@@ -66,18 +66,14 @@ def svd(w) -> SvdFactors:
     with it, so the product is unchanged. Identical input bytes give
     identical output bytes.
     """
-    w = as_matrix(w, "w")
-    return _canonical(*np.linalg.svd(w, full_matrices=False))
+    return svd_each([w], 1)[0]
 
 
 def _canonical(u: Array, s: Array, vt: Array) -> SvdFactors:
-    """SvdFactors in svd's order and sign convention from LAPACK's factors."""
-    # LAPACK already returns descending sigma; the stable sort only matters
-    # for exact ties, where it pins one ordering.
-    order = np.argsort(-s, kind="stable")
-    u = u[:, order]
-    s = s[order]
-    v = vt.T[:, order]
+    """SvdFactors in svd's sign convention from np.linalg.svd's fresh
+    arrays, flipped in place. LAPACK's gesdd returns sigma non-increasing,
+    so the columns keep its order; v is the transposed view of vt."""
+    v = vt.T
     # argmax returns the first maximum, which is the lowest-row tie rule.
     # Multiplying by exactly -1.0 or 1.0 gives the same bytes as negating
     # the flipped columns one by one.

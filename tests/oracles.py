@@ -5,8 +5,8 @@ plain Jacobi rotations instead of LAPACK, modified Gram-Schmidt instead of
 an orthonormal basis from the SVD, central finite differences instead of
 reverse mode, batched gradient descent instead of the closed form. Slow and
 simple on purpose; shapes stay small in the tests that call these. The
-module also holds the helpers only tests need: random_instance and
-reconstruct.
+module also holds the helpers only tests need: random_instance,
+reconstruct and assert_svd_contract.
 """
 
 import numpy as np
@@ -361,3 +361,24 @@ def random_instance(n: int, d: int, p: int, seed: int) -> RegressionProblem:
 def reconstruct(factors: SvdFactors) -> np.ndarray:
     """u @ diag(sigma) @ v.T of a thin SVD."""
     return (factors.u * factors.sigma) @ factors.v.T
+
+
+def assert_svd_contract(factors: SvdFactors, w) -> None:
+    """The SvdFactors contract for a thin SVD of the m x n matrix w.
+
+    u is m x k, sigma (k,) non-negative and non-increasing, v n x k, with
+    k = min(m, n); u and v have orthonormal columns, and u diag(sigma) v^T
+    gives w back within roundoff.
+    """
+    w = np.asarray(w)
+    (m, n), k = w.shape, min(w.shape)
+    assert factors.u.shape == (m, k)
+    assert factors.sigma.shape == (k,)
+    assert factors.v.shape == (n, k)
+    assert np.all(factors.sigma >= 0.0)
+    assert np.all(np.diff(factors.sigma) <= 0.0)
+    scale = max(float(factors.sigma[0]), np.finfo(float).tiny)
+    assert np.allclose(reconstruct(factors), w, rtol=0.0,
+                       atol=1e-13 * max(m, n) * scale)
+    assert np.allclose(factors.u.T @ factors.u, np.eye(k), rtol=0.0, atol=1e-12)
+    assert np.allclose(factors.v.T @ factors.v, np.eye(k), rtol=0.0, atol=1e-12)

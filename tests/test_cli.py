@@ -338,6 +338,12 @@ class TestTheorem:
                      "--ranks", "5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_seed_is_2(self, capsys):
+        assert main(["theorem", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "seed" in err[0]
+
 
 class TestSpectrum:
     def test_csv_written_from_train_endpoints(self, tmp_path):

@@ -31,6 +31,7 @@ from rosa.experiments import run_theorem_suite
 from rosa.linalg import SvdFactors, singular_values
 
 from oracles import (
+    assert_svd_contract,
     direct_greedy_weights,
     gd_rank_limited,
     gram_schmidt_projection,
@@ -533,8 +534,24 @@ SHAPES = {"tall": (30, 8, 5), "square": (30, 6, 6), "wide": (30, 4, 9)}
 
 
 class TestRightFactorRoute:
-    """Residuals decomposed through their R factor against the SVD of the
-    n x p matrix x @ move itself."""
+    """Residuals decomposed as R @ move, with R the triangular factor of x,
+    against the SVD of the n x p matrix x @ move itself."""
+
+    @pytest.mark.parametrize("shape", [*SHAPES.values(), (300, 128, 64)],
+                             ids=[*SHAPES, "bench"])
+    def test_residual_factors_contract(self, shape):
+        n, d, p = shape
+        prob = realizable_instance(n, d, p, residual_rank=min(d, p) - 1, seed=65)
+        factors = prob.residual_factors
+        move = prob.w_ls - prob.w0
+        assert_svd_contract(factors, prob.x_r @ move)
+        # x_q @ u is the left factor of e = x @ move itself.
+        e = prob.x @ move
+        assert np.allclose((prob.x_q @ factors.u * factors.sigma) @ factors.v.T,
+                           e, rtol=0.0, atol=1e-12 * np.abs(e).max())
+        for a in (factors.u, factors.sigma, factors.v):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     @pytest.mark.parametrize("kind", ["random", "realizable"])
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
@@ -595,6 +612,13 @@ class TestInstanceFactories:
             realizable_instance(3, 4, 2, residual_rank=1, seed=0)
         with pytest.raises(InvalidInputError):
             random_instance(3, 4, 2, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            realizable_instance(10, 4, 3, residual_rank=2, seed=-1)
+        base = realizable_instance(10, 4, 3, residual_rank=2, seed=0)
+        with pytest.raises(InvalidInputError, match="seed"):
+            with_off_range_noise(base, 1.0, -1)
 
     def test_deterministic(self):
         p1 = realizable_instance(12, 5, 3, residual_rank=2, seed=33)

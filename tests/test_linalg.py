@@ -16,8 +16,9 @@ from rosa.linalg import (
     svd_each,
 )
 
-from oracles import (gram_schmidt_projection, jacobi_singular_values,
-                     loop_sign_convention, projection_onto_range, reconstruct)
+from oracles import (assert_svd_contract, gram_schmidt_projection,
+                     jacobi_singular_values, loop_sign_convention,
+                     projection_onto_range, reconstruct)
 
 SHAPES = [(3, 3), (5, 3), (3, 5), (7, 7), (8, 2), (2, 8)]
 
@@ -387,6 +388,21 @@ def test_random_sampling_always_valid(seed, count):
     assert len(idx) == count
     assert len(set(idx.tolist())) == count
     assert all(0 <= i < bound for i in idx)
+
+
+CONTRACT_SHAPES = [(128, 64), (64, 128), (128, 128), (9, 4), (3, 8), (1, 5)]
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_svd_contract(workers):
+    # workers None is svd itself, one matrix at a time.
+    ws = [rng_for(50 + i).standard_normal(shape)
+          for i, shape in enumerate(CONTRACT_SHAPES)]
+    ws += [np.eye(4), np.zeros((3, 2)), np.ones((4, 6))]
+    got = ([svd(w) for w in ws] if workers is None
+           else svd_each(ws, workers))
+    for factors, w in zip(got, ws):
+        assert_svd_contract(factors, w)
 
 
 def test_svd_rejects_bad_input():

@@ -7,7 +7,9 @@ perfbench/floors.py counts a layer's operations by its adapter's type name
 and rank, so a renamed adapter class would silently skew its floors, and
 perfbench/workloads.py counts greedy rounds by wrapping
 rosa.experiments.rosa_exact_iterate, so a suite that stopped calling it
-there would report no work.
+there would report no work. Every workload's operations must also match
+perfbench/fingerprint.json, so a changed byte in training or in the SVD
+path fails here before it fails a benchmark run.
 """
 
 import importlib
@@ -82,3 +84,17 @@ def test_exact_unit_counts_every_round(tmp_path):
     assert inspected.work == sum(t + 2 for t in (8, 4, 2, 1, 8)) == 33
     assert inspected.ops == fingerprint["exact"]
     assert inspected.bad == set()
+
+
+@pytest.mark.parametrize("name", ["grid", "resample"])
+def test_workload_matches_fingerprint(name, tmp_path):
+    workload = WORKLOADS.WORKLOADS[name](seed=0, workdir=str(tmp_path))
+    workload.prepare()
+    ops, bad = {}, set()
+    for key in workload.unit_keys():
+        inspected = workload.inspect_unit(key, workload.run_unit(key))
+        ops.update(inspected.ops)
+        bad |= inspected.bad
+    fingerprint = json.loads((PERFBENCH / "fingerprint.json").read_text())
+    assert ops == fingerprint[name]
+    assert bad == set()

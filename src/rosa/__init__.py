@@ -2,7 +2,7 @@
 
 The package splits into small layers: linalg (deterministic SVD and
 rank), adapters (the weight parameterizations), network (MLP with
-hand-written gradients), optim (SGD, AdamW), exact (closed-form solvers
+hand-written gradients), optim (AdamW), exact (closed-form solvers
 for the linear case), synthetic/training/experiments (the desk-scale
 harness), checkpoint (binary model files), fileio (atomic output files),
 and cli (the `rosa` command).
@@ -25,7 +25,7 @@ from .linalg import (SamplingScheme, SvdFactors, numerical_rank,
 from .network import (Activation, DenseLayer, ForwardCache, GradientSet, Mlp,
                       backward, build_mlp, forward, mse_loss,
                       mse_loss_and_gradient, mse_loss_gradient, predict)
-from .optim import AdamW, Sgd
+from .optim import AdamW
 from .synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
 from .training import (MetricsRecord, TrainConfig, TrainResult, adapt_network,
                        run_training, write_metrics_csv, write_summary_json)

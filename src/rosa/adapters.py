@@ -219,15 +219,13 @@ def _check_rank(rank: int, m: int, n: int) -> None:
 
 def rosa_init(w, rank: int, scheme: SamplingScheme = SamplingScheme.RANDOM,
               rng: np.random.Generator | None = None, *,
-              factorize_at_init: bool = True,
               subtract_at_init: bool = True) -> RosaAdapter:
     """Build a RosaAdapter around w.
 
-    By default the first factorization happens here, so (a, b) start as a
-    genuine slice of w's singular directions and w_fixed = w - a @ b.
-    factorize_at_init=False instead leaves a = b = 0 until the schedule
-    fires. subtract_at_init=False keeps w_fixed = w while still installing
-    the decomposed (a, b), so the adapter starts at w + a @ b; that variant
+    The first factorization happens here, so (a, b) start as a genuine
+    slice of w's singular directions and w_fixed = w - a @ b.
+    subtract_at_init=False keeps w_fixed = w while still installing the
+    decomposed (a, b), so the adapter starts at w + a @ b; that variant
     exists for the init-only ablation.
     """
     w = as_matrix(w, "w")
@@ -240,10 +238,9 @@ def rosa_init(w, rank: int, scheme: SamplingScheme = SamplingScheme.RANDOM,
         rank=rank,
         scheme=scheme,
     )
-    if factorize_at_init:
-        adapter.factorize(rng)
-        if not subtract_at_init:
-            adapter.w_fixed = w.copy()
+    adapter.factorize(rng)
+    if not subtract_at_init:
+        adapter.w_fixed = w.copy()
     return adapter
 
 

@@ -29,8 +29,8 @@ from .experiments import (run_ablation_grid, run_method_comparison,
                           write_spectrum_csv)
 from .fileio import write_json
 from .synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
-from .training import (TrainConfig, run_training, write_metrics_csv,
-                       write_summary_json)
+from .training import (CHOICES, TrainConfig, run_training,
+                       write_metrics_csv, write_summary_json)
 
 
 def _fits(value, hint) -> bool:
@@ -254,14 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one adapted network")
     train.add_argument("--config", help="JSON config file")
     train.add_argument("--out", required=True, help="output directory")
-    train.add_argument("--method", choices=["ft", "lora", "rosa", "ia3"])
+    train.add_argument("--method", choices=CHOICES["method"])
     train.add_argument("--rank", type=int)
     train.add_argument("--factorize-every", type=int, dest="factorize_every")
-    train.add_argument("--factorize-unit", choices=["steps", "epochs"],
+    train.add_argument("--factorize-unit", choices=CHOICES["factorize_unit"],
                        dest="factorize_unit")
-    train.add_argument("--scheme", choices=["random", "top", "bottom"])
-    train.add_argument("--ablation",
-                       choices=["full", "svd_init_factorize", "svd_init_only"])
+    train.add_argument("--scheme", choices=CHOICES["scheme"])
+    train.add_argument("--ablation", choices=CHOICES["ablation"])
     train.add_argument("--lr", type=float)
     train.add_argument("--epochs", type=int)
     train.add_argument("--seed", type=int)

@@ -31,7 +31,7 @@ from .fileio import atomic_open
 from .linalg import _BLAS_THREAD_VARS, _worker_count, singular_values  # noqa: F401
 from .network import Mlp
 from .synthetic import SyntheticTask
-from .training import TrainConfig, TrainResult, run_training
+from .training import CHOICES, TrainConfig, TrainResult, run_training
 
 # Default learning-rate grid for best-of sweeps.
 LR_GRID = (2e-2, 2e-3, 2e-4, 2e-5)
@@ -56,6 +56,8 @@ def run_theorem_suite(n: int = 40, d: int = 16, p: int = 8,
     the instance checks the plateau at the irreducible error. The report is
     JSON-serializable; 'all_ok' summarizes every check.
     """
+    if not ranks:
+        raise InvalidInputError("ranks must hold at least one rank")
     problem = realizable_instance(n, d, p, residual_rank, seed)
     y_scale = float(np.sum(problem.y ** 2))
     all_ok = True
@@ -310,7 +312,7 @@ def run_ablation_grid(task: SyntheticTask, rank: int, *, epochs: int,
     validation losses is reported, not asserted, since it is a stochastic
     tendency rather than a guarantee.
     """
-    variants = ("svd_init_only", "svd_init_factorize", "full")
+    variants = CHOICES["ablation"][::-1]  # the weakest variant first
     bases = [TrainConfig(method="lora", rank=rank, epochs=epochs, seed=seed)]
     bases += [TrainConfig(method="rosa", rank=rank, ablation=variant,
                           epochs=epochs, seed=seed) for variant in variants]

@@ -128,23 +128,14 @@ def predict(net: Mlp, x) -> Array:
 
 def mse_loss(pred, target) -> float:
     """Mean squared error over all entries of the batch."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError("prediction and target shapes differ",
-                         pred.shape, target.shape)
-    diff = pred - target
-    return float(np.mean(diff * diff))
+    return mse_loss_and_gradient(np.asarray(pred, dtype=np.float64),
+                                 np.asarray(target, dtype=np.float64))[0]
 
 
 def mse_loss_gradient(pred, target) -> Array:
     """Gradient of mse_loss with respect to pred: 2 (pred - target) / size."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError("prediction and target shapes differ",
-                         pred.shape, target.shape)
-    return 2.0 * (pred - target) / pred.size
+    return mse_loss_and_gradient(np.asarray(pred, dtype=np.float64),
+                                 np.asarray(target, dtype=np.float64))[1]
 
 
 def mse_loss_and_gradient(pred: Array, target: Array) -> tuple[float, Array]:

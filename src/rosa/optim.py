@@ -1,11 +1,11 @@
-"""First-order optimizers over a network's trainable parameters.
+"""AdamW over a network's trainable parameters.
 
-Both optimizers walk the GradientSet produced by backward, update the
-matching adapter arrays in place, and bump the network version so stale
-caches are rejected. AdamW keeps its moments for the whole network in one
-flat vector each, laid out per (layer index, parameter name) at the first
-step, matrix keys first and biases last; a key's slice and step count can
-be reset when that layer's trainable subspace is re-sampled.
+AdamW walks the GradientSet produced by backward, updates the matching
+adapter arrays in place, and bumps the network version so stale caches
+are rejected. It keeps its moments for the whole network in one flat
+vector each, laid out per (layer index, parameter name) at the first step,
+matrix keys first and biases last; a key's slice and step count are reset
+when that layer's trainable subspace is re-sampled.
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ def _key_mismatch(i: int, layer_grads: dict, params: dict) -> ContractViolationE
         f"layer {i}: gradient keys {sorted(layer_grads)} do not match "
         f"trainable keys {sorted([*params, 'bias'])}"
     )
-
-
-@dataclass
-class Sgd:
-    learning_rate: float
-
-    def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise InvalidInputError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-    def step(self, net: Mlp, grads: GradientSet) -> None:
-        for _, p, g in _aligned_items(net, grads):
-            p -= self.learning_rate * g
-        net.bump()
 
 
 @dataclass

@@ -22,11 +22,17 @@ from .fileio import atomic_open, write_json
 from .linalg import SamplingScheme, _worker_count, numerical_rank, svd_each
 from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F401
                       mse_loss_and_gradient, mse_loss_gradient, predict)
-from .optim import AdamW, Sgd
+from .optim import AdamW
 from .synthetic import SyntheticTask
 
-METHODS = ("ft", "lora", "rosa", "ia3")
-ABLATIONS = ("full", "svd_init_factorize", "svd_init_only")
+# The values of each choice field of TrainConfig; the `rosa train` flags
+# offer the same lists.
+CHOICES = {
+    "method": ("ft", "lora", "rosa", "ia3"),
+    "factorize_unit": ("steps", "epochs"),
+    "scheme": tuple(s.value for s in SamplingScheme),
+    "ablation": ("full", "svd_init_factorize", "svd_init_only"),
+}
 _RESIDUAL_RANK_TOL = 1e-8
 
 
@@ -38,7 +44,6 @@ class TrainConfig:
     factorize_unit: str = "epochs"
     scheme: str = "random"
     ablation: str = "full"
-    optimizer: str = "adamw"
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.98
@@ -47,17 +52,13 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 128
     seed: int = 0
-    reset_moments_on_factorize: bool = True
-    literal_zero_init: bool = False
 
     def __post_init__(self):
-        self.method = str(self.method).lower()
-        self.scheme = str(self.scheme).lower()
-        self.ablation = str(self.ablation).lower()
-        self.optimizer = str(self.optimizer).lower()
-        self.factorize_unit = str(self.factorize_unit).lower()
-        if self.method not in METHODS:
-            raise ConfigError("method", f"must be one of {METHODS}, got {self.method!r}")
+        for name, choices in CHOICES.items():
+            value = str(getattr(self, name)).lower()
+            if value not in choices:
+                raise ConfigError(name, f"must be one of {choices}, got {value!r}")
+            setattr(self, name, value)
         needs_rank = self.method in ("rosa", "lora")
         if needs_rank and self.rank is None:
             raise ConfigError("rank", f"required for method {self.method!r}")
@@ -67,20 +68,9 @@ class TrainConfig:
             raise ConfigError("rank", f"must be >= 1, got {self.rank}")
         if self.factorize_every < 1:
             raise ConfigError("factorize_every", f"must be >= 1, got {self.factorize_every}")
-        if self.factorize_unit not in ("steps", "epochs"):
-            raise ConfigError("factorize_unit",
-                              f"must be 'steps' or 'epochs', got {self.factorize_unit!r}")
-        if self.scheme not in ("random", "top", "bottom"):
-            raise ConfigError("scheme", f"must be random/top/bottom, got {self.scheme!r}")
-        if self.ablation not in ABLATIONS:
-            raise ConfigError("ablation", f"must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.ablation != "full" and self.method != "rosa":
             raise ConfigError("ablation",
                               f"{self.ablation!r} only applies to method 'rosa'")
-        if self.literal_zero_init and self.method != "rosa":
-            raise ConfigError("literal_zero_init", "only applies to method 'rosa'")
-        if self.optimizer not in ("sgd", "adamw"):
-            raise ConfigError("optimizer", f"must be 'sgd' or 'adamw', got {self.optimizer!r}")
         if not 0.0 < self.lr < math.inf:
             raise ConfigError("lr", f"must be finite and > 0, got {self.lr}")
         for name in ("beta1", "beta2"):
@@ -98,9 +88,6 @@ class TrainConfig:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-
-    def scheme_enum(self) -> SamplingScheme:
-        return SamplingScheme(self.scheme)
 
 
 @dataclass
@@ -144,8 +131,7 @@ def adapt_network(base: Mlp, config: TrainConfig,
             adapter = ia3_init(w)
         else:
             adapter = rosa_init(
-                w, config.rank, config.scheme_enum(), rng,
-                factorize_at_init=not config.literal_zero_init,
+                w, config.rank, SamplingScheme(config.scheme), rng,
                 subtract_at_init=config.ablation != "svd_init_only",
             )
         layers.append(DenseLayer(adapter=adapter, bias=layer.bias.copy(),
@@ -153,18 +139,17 @@ def adapt_network(base: Mlp, config: TrainConfig,
     return Mlp(layers=layers)
 
 
-def make_optimizer(config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(learning_rate=config.lr)
+def make_optimizer(config: TrainConfig) -> AdamW:
     return AdamW(learning_rate=config.lr, beta1=config.beta1, beta2=config.beta2,
                  epsilon=config.epsilon, weight_decay=config.weight_decay)
 
 
-def _factorize_rosa_layers(net: Mlp, optimizer, config: TrainConfig,
+def _factorize_rosa_layers(net: Mlp, optimizer: AdamW,
                            rng: np.random.Generator) -> None:
     """One factorize event: merge every layer (the schedule runs only for
     method rosa, so every layer is factored), take all their SVDs at once
-    on _worker_count() threads, then re-sample each layer in order.
+    on _worker_count() threads, then re-sample each layer in order and
+    reset the moments of its new (a, b).
 
     The SVDs draw nothing from rng, so the draws come in the same order as
     when each layer is decomposed and re-sampled in turn.
@@ -173,8 +158,7 @@ def _factorize_rosa_layers(net: Mlp, optimizer, config: TrainConfig,
     factors = svd_each(merged, _worker_count())
     for i, (layer, w, layer_factors) in enumerate(zip(net.layers, merged, factors)):
         layer.adapter.factorize(rng, layer_factors, w)
-        if config.reset_moments_on_factorize and isinstance(optimizer, AdamW):
-            optimizer.reset_moments(i, ("a", "b"))
+        optimizer.reset_moments(i, ("a", "b"))
     net.bump()
 
 
@@ -216,7 +200,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
         for start in range(0, n, batch):
             if (schedule_on and config.factorize_unit == "steps"
                     and (global_step + 1) % config.factorize_every == 0):
-                _factorize_rosa_layers(net, optimizer, config, rng)
+                _factorize_rosa_layers(net, optimizer, rng)
                 event = True
             cols = perm[start:start + batch]
             xb = task.x_train[:, cols]
@@ -234,7 +218,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
             global_step += 1
         if (schedule_on and config.factorize_unit == "epochs"
                 and epoch % config.factorize_every == 0):
-            _factorize_rosa_layers(net, optimizer, config, rng)
+            _factorize_rosa_layers(net, optimizer, rng)
             event = True
         train_loss = sq_sum / n
         val_loss = mse_loss(predict(net, task.x_val), task.y_val)
@@ -272,7 +256,7 @@ def _summarize(config: TrainConfig, net: Mlp, records: list[MetricsRecord],
     matrix_counts = [matrix_param_count(layer.adapter) for layer in net.layers]
     bias_counts = [layer.bias.size for layer in net.layers]
     reductions = None
-    if config.method in ("rosa", "lora"):
+    if config.rank is not None:
         reductions = [trainable_reduction(layer.adapter.shape[0],
                                           layer.adapter.shape[1], config.rank)
                       for layer in net.layers]

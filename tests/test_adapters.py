@@ -32,14 +32,6 @@ class TestRosaInit:
         ad = rosa_init(w, rank=3, rng=rng_for(1))
         assert np.allclose(ad.effective_weight(), w, atol=1e-12)
 
-    def test_zero_start_variant(self):
-        w = rng_for(2).standard_normal((4, 4))
-        ad = rosa_init(w, rank=2, factorize_at_init=False)
-        assert not ad.a.any()
-        assert not ad.b.any()
-        x = rng_for(3).standard_normal((4, 7))
-        assert np.array_equal(ad.forward(x), w @ x)
-
     def test_additive_variant_keeps_host_weight(self):
         w = rng_for(4).standard_normal((5, 5))
         ad = rosa_init(w, rank=2, rng=rng_for(5), subtract_at_init=False)

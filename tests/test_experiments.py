@@ -81,6 +81,15 @@ class TestTheoremSuite:
         assert report["noisy_case"]["plateau_ok"] is True
         assert report["all_ok"] is True
 
+    def test_no_ranks_rejected_before_work(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("built an instance before checking ranks")
+
+        monkeypatch.setattr(rosa.experiments, "realizable_instance",
+                            must_not_run)
+        with pytest.raises(InvalidInputError, match="ranks"):
+            run_theorem_suite(ranks=())
+
     def test_report_is_json_clean(self):
         report = run_theorem_suite(n=16, d=6, p=4, residual_rank=2,
                                    ranks=(1, 2), seed=6)

@@ -16,7 +16,7 @@ from rosa.network import (
     mse_loss_gradient,
     predict,
 )
-from rosa.optim import AdamW, Sgd
+from rosa.optim import AdamW
 
 from oracles import dense_forward, finite_difference_gradients
 
@@ -219,7 +219,7 @@ class TestCacheDiscipline:
         y = rng_for(32).standard_normal((3, 3))
         pred, cache = forward(net, x)
         grads = backward(net, cache, mse_loss_gradient(pred, y))
-        Sgd(0.1).step(net, grads)
+        AdamW(0.1).step(net, grads)
         with pytest.raises(ContractViolationError):
             backward(net, cache, mse_loss_gradient(pred, y))
 
@@ -228,7 +228,7 @@ class TestCacheDiscipline:
         x = rng_for(34).standard_normal((4, 3))
         y = rng_for(35).standard_normal((3, 3))
         pred, cache = forward(net, x)
-        Sgd(0.1).step(net, backward(net, cache, mse_loss_gradient(pred, y)))
+        AdamW(0.1).step(net, backward(net, cache, mse_loss_gradient(pred, y)))
         pred2, cache2 = forward(net, x)
         backward(net, cache2, mse_loss_gradient(pred2, y))
 

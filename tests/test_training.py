@@ -72,13 +72,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(method="ft", lr=-0.1)
 
-    def test_bad_optimizer(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(method="ft", optimizer="lion")
-
-    def test_literal_zero_init_needs_rosa(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(method="ft", literal_zero_init=True)
 
 
 class TestSyntheticTask:
@@ -131,14 +124,6 @@ class TestAdaptNetwork:
         for src, dst in zip(t.base.layers, net.layers):
             assert np.allclose(dst.adapter.effective_weight(),
                                src.adapter.effective_weight(), atol=1e-10)
-
-    def test_literal_zero_init_starts_empty(self):
-        t = tiny_task()
-        net = adapt_network(t.base, quick(literal_zero_init=True),
-                            np.random.default_rng(0))
-        for layer in net.layers:
-            assert not layer.adapter.a.any()
-            assert not layer.adapter.b.any()
 
     def test_base_left_untouched(self):
         t = tiny_task()
@@ -248,8 +233,8 @@ class TestRunTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         with pytest.raises(NumericError):
-            run_training(quick(method="ft", rank=None, optimizer="sgd",
-                               lr=1e12, epochs=4), tiny_task())
+            run_training(quick(method="ft", rank=None, lr=1e308, epochs=4),
+                         tiny_task())
 
     def test_residual_ranks_tracked(self):
         result = run_training(quick(epochs=8, lr=3e-2), tiny_task())

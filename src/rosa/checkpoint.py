@@ -19,8 +19,8 @@ Loading parses the entire byte string before any network object is built,
 so a malformed file raises CheckpointFormatError (with the byte offset)
 and never yields partial state. A file that parses is also checked for
 self-consistency: every meta value of its expected type, every tensor
-finite, every factor, scale and bias shaped to fit its layer's host
-weight, every rank within [1, min(m, n)], at least one layer, and each
+finite, every host weight non-empty, every factor, scale and bias shaped
+to fit it, every rank within [1, min(m, n)], at least one layer, and each
 layer's input width equal to the previous layer's output width.
 """
 
@@ -179,6 +179,8 @@ def _assemble(layer_metas: list, tensors: dict[str, Array],
         if meta.get("activation") not in _ACTIVATIONS:
             raise fetch.error(f"has unknown activation {meta.get('activation')!r}")
         adapter = KINDS[kind].from_record(meta, fetch)
+        if 0 in adapter.shape:
+            raise fetch.error(f"has an empty host weight of shape {adapter.shape}")
         if f"layer{i}.w_original" in tensors:
             fetch("w_original", adapter.shape)
         if layers and adapter.shape[1] != layers[-1].out_dim:

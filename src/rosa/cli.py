@@ -5,8 +5,8 @@ compare. Configuration for training comes from an optional JSON file (keys
 mirror TrainConfig, with an optional "data" object mirroring SyntheticSpec)
 plus flag overrides; flags win; a grid reads only "data". Each JSON value
 is checked against its field's type before any config is built. Exit codes:
-0 success, 2 bad configuration, 3 numeric failure, 4 I/O or file-format
-failure.
+0 success, 2 bad configuration (or one too large for memory), 3 numeric
+failure, 4 I/O or file-format failure.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The exit code of each failure. The first type that matches wins, so a
 # subclass of RosaError comes before it.
-_EXIT_CODES = {ConfigError: 2, InvalidInputError: 2,
+_EXIT_CODES = {ConfigError: 2, InvalidInputError: 2, MemoryError: 2,
                CheckpointFormatError: 4, OSError: 4,
                RosaError: 3, np.linalg.LinAlgError: 3}
 
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(exc, kind))
 

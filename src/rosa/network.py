@@ -153,8 +153,9 @@ def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
     """Reverse-mode gradients for every trainable parameter.
 
     output_grad is the loss gradient with respect to the network output,
-    shaped like that output. Frozen arrays get no gradient entry at all, and no gradient with respect to the network
-    input is computed: the first layer stops at its parameter gradients.
+    shaped like that output. Frozen arrays get no gradient entry at all,
+    and no gradient with respect to the network input is computed: the
+    first layer stops at its parameter gradients.
     """
     if cache.version != net.version:
         raise ContractViolationError(

@@ -1,11 +1,13 @@
 """AdamW over a network's trainable parameters.
 
-AdamW walks the GradientSet produced by backward, updates the matching
-adapter arrays in place, and bumps the network version so stale caches
-are rejected. It keeps its moments for the whole network in one flat
-vector each, laid out per (layer index, parameter name) at the first step,
-matrix keys first and biases last; a key's slice and step count are reset
-when that layer's trainable subspace is re-sampled.
+AdamW updates a network's trainable adapter arrays and biases in place
+from the GradientSet produced by backward, and bumps the network version
+so stale caches are rejected. It keeps its moments for the whole network
+in one flat vector each. The first step fixes their layout from the
+network: each layer's trainable arrays in protocol order, then every bias.
+Each step checks the network and its gradients against that layout and
+gathers them in one pass. A key's slice and step count are reset when
+that layer's trainable subspace is re-sampled.
 """
 
 from __future__ import annotations
@@ -19,56 +21,20 @@ from .linalg import Array
 from .network import GradientSet, Mlp
 
 
-def _aligned_items(net: Mlp, grads: GradientSet) -> list[tuple[tuple[int, str], Array, Array]]:
-    """(key, param, grad) triples in gradient order; raises on any mismatch.
-
-    A layer's gradient keys equal its trainable keys plus 'bias' when there
-    are as many of them and each one names a trainable array.
-    """
-    if len(grads.layers) != len(net.layers):
-        raise ContractViolationError(
-            f"gradient set covers {len(grads.layers)} layers, "
-            f"network has {len(net.layers)}"
-        )
-    items = []
-    for i, (layer, layer_grads) in enumerate(zip(net.layers, grads.layers)):
-        params = layer.adapter.trainable_arrays()
-        if len(layer_grads) != len(params) + 1:
-            raise _key_mismatch(i, layer_grads, params)
-        for name, g in layer_grads.items():
-            p = layer.bias if name == "bias" else params.get(name)
-            if p is None:
-                raise _key_mismatch(i, layer_grads, params)
-            if p.shape != g.shape:
-                raise ContractViolationError(
-                    f"layer {i} parameter '{name}': shape {p.shape} "
-                    f"vs gradient {g.shape}"
-                )
-            items.append(((i, name), p, g))
-    return items
-
-
-def _key_mismatch(i: int, layer_grads: dict, params: dict) -> ContractViolationError:
-    return ContractViolationError(
-        f"layer {i}: gradient keys {sorted(layer_grads)} do not match "
-        f"trainable keys {sorted([*params, 'bias'])}"
-    )
-
-
 @dataclass
 class _FlatState:
     """AdamW state for a whole network: one flat vector per quantity.
 
-    layout holds (layer, name, shape, slice) per key in the first step's
-    gradient order, except that every bias follows every matrix key, so the
-    keys a factorize event resets lie next to each other; t holds each
-    key's step count. g, s and u are scratch for the flat gradient, a
-    temporary and the update; u_views are u's per-key slices shaped like
-    the parameters.
+    layout holds (layer, name, shape, slice) per key: every layer's
+    trainable arrays in protocol order, then every layer's bias, so the
+    keys a factorize event resets lie next to each other. layers is the
+    network's layer count; t holds each key's step count. g, s and u are
+    scratch for the flat gradient, a temporary and the update; u_views are
+    u's per-key slices shaped like the parameters.
     """
 
     layout: tuple
-    index: dict
+    layers: int
     t: list
     m: Array
     v: Array
@@ -78,16 +44,17 @@ class _FlatState:
     u_views: list
 
     @classmethod
-    def allocate(cls, items) -> "_FlatState":
+    def allocate(cls, net: Mlp) -> "_FlatState":
+        keys = [(i, name, p) for i, layer in enumerate(net.layers)
+                for name, p in layer.adapter.trainable_arrays().items()]
+        keys += [(i, "bias", layer.bias) for i, layer in enumerate(net.layers)]
         layout, start = [], 0
-        for (i, name), _, g in sorted(items, key=lambda it: it[0][1] == "bias"):
-            layout.append((i, name, g.shape, slice(start, start + g.size)))
-            start += g.size
+        for i, name, p in keys:
+            layout.append((i, name, p.shape, slice(start, start + p.size)))
+            start += p.size
         u = np.zeros(start)
         return cls(
-            layout=tuple(layout),
-            index={(i, name): k for k, (i, name, _, _) in enumerate(layout)},
-            t=[0] * len(layout),
+            layout=tuple(layout), layers=len(net.layers), t=[0] * len(layout),
             m=np.zeros(start), v=np.zeros(start), g=np.zeros(start),
             s=np.zeros(start), u=u,
             u_views=[u[sl].reshape(shape) for _, _, shape, sl in layout],
@@ -104,9 +71,10 @@ class AdamW:
     scaled by g / (|g| + epsilon).
 
     The first step fixes the layout of one flat moment pair over every
-    trainable array; each array keeps its own step count for the bias
-    correction. One optimizer serves one network: a later step whose
-    parameters differ from that layout raises ContractViolationError.
+    trainable array of the network; each array keeps its own step count for
+    the bias correction. One optimizer serves one network: a step whose
+    network or gradients differ from that layout raises
+    ContractViolationError before anything changes.
     """
 
     learning_rate: float
@@ -131,26 +99,34 @@ class AdamW:
 
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:
-        items = _aligned_items(net, grads)
-        if self._flat is None:
-            self._flat = _FlatState.allocate(items)
-        st = self._flat
-        if len(items) != len(st.layout):
+        st = self._flat or _FlatState.allocate(net)
+        if not len(grads.layers) == len(net.layers) == st.layers:
             raise ContractViolationError(
-                f"step has {len(items)} parameters, optimizer layout has "
-                f"{len(st.layout)}; one optimizer serves one network"
+                f"gradient set covers {len(grads.layers)} layers, network has "
+                f"{len(net.layers)}, optimizer layout has {st.layers}"
             )
-        params = [None] * len(st.layout)
-        flat_grads = [None] * len(st.layout)
-        for key, p, g in items:
-            k = st.index.get(key)
-            if k is None or st.layout[k][2] != g.shape:
+        arrays = [{**layer.adapter.trainable_arrays(), "bias": layer.bias}
+                  for layer in net.layers]
+        params, flat_grads = [], []
+        for i, name, shape, _ in st.layout:
+            p, g = arrays[i].get(name), grads.layers[i].get(name)
+            if p is None or g is None or not p.shape == g.shape == shape:
                 raise ContractViolationError(
-                    f"parameter {key} with shape {g.shape} is not in the "
-                    f"optimizer layout; one optimizer serves one network"
+                    f"layer {i} '{name}': parameter {getattr(p, 'shape', 'missing')}, "
+                    f"gradient {getattr(g, 'shape', 'missing')}, optimizer layout "
+                    f"{shape}; one optimizer serves one network"
                 )
-            params[k] = p
-            flat_grads[k] = g
+            params.append(p)
+            flat_grads.append(g)
+        # Every layout key was found in both, so equal counts mean equal keys.
+        n = len(st.layout)
+        if sum(map(len, arrays)) != n or sum(map(len, grads.layers)) != n:
+            raise ContractViolationError(
+                f"trainable keys {[sorted(a) for a in arrays]} and gradient keys "
+                f"{[sorted(g) for g in grads.layers]} do not both match the "
+                f"optimizer layout's {n} keys; one optimizer serves one network"
+            )
+        self._flat = st
         st.t = ts = [t + 1 for t in st.t]
         m, v, g, s, u = st.m, st.v, st.g, st.s, st.u
         b1, b2, lr = self.beta1, self.beta2, self.learning_rate
@@ -191,10 +167,8 @@ class AdamW:
         meaningless. Unknown keys are ignored (nothing accumulated yet).
         """
         st = self._flat
-        for name in names:
-            k = None if st is None else st.index.get((layer_index, name))
-            if k is not None:
-                sl = st.layout[k][3]
+        for k, (i, name, _, sl) in enumerate(st.layout if st else ()):
+            if i == layer_index and name in names:
                 st.m[sl] = 0.0
                 st.v[sl] = 0.0
                 st.t[k] = 0

@@ -295,6 +295,22 @@ class TestSelfConsistency:
         with pytest.raises(CheckpointFormatError, match="no layers"):
             reloaded(Mlp(layers=[]))
 
+    # The constructors refuse an empty weight, so the files are edited.
+    # `rosa spectrum` must exit 4, not fail later in the SVD with exit 2.
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("kind", ["full", "ia3"])
+    def test_empty_host_weight_rejected(self, kind, shape):
+        blob = empty_host_blob(kind, shape)
+        with pytest.raises(CheckpointFormatError,
+                           match=r"layer 0 has an empty host weight of shape"):
+            decode_checkpoint(blob)
+        code, err = spectrum_of(blob)
+        assert code == 4
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"error: layer 0 has an empty host weight of shape {shape}")
+
 
 def meta_of(blob: bytes) -> dict:
     meta_len = struct.unpack("<I", blob[8:12])[0]
@@ -341,6 +357,18 @@ def with_tensor(blob: bytes, name: str, arr: np.ndarray) -> bytes:
                      + struct.pack("<II", *arr.shape)
                      + np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return join_tensors(head, records)
+
+
+def empty_host_blob(kind: str, shape: tuple) -> bytes:
+    """A one-layer full or ia3 file whose host weight has the given shape,
+    with a bias (and scale) of the matching length."""
+    build, name = {"full": (full_init, "w"), "ia3": (ia3_init, "w_frozen")}[kind]
+    net = Mlp(layers=[DenseLayer(adapter=build(np.ones((3, 3))), bias=np.zeros(3),
+                                 activation=Activation.IDENTITY)])
+    blob = with_tensor(encode_checkpoint(net), f"layer0.{name}", np.zeros(shape))
+    for vector in ("bias", "scale") if kind == "ia3" else ("bias",):
+        blob = with_tensor(blob, f"layer0.{vector}", np.zeros((shape[0], 1)))
+    return blob
 
 
 def with_layer_value(blob: bytes, layer: int, key: str, value) -> bytes:

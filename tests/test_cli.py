@@ -298,6 +298,25 @@ class TestExitCodes:
         assert main(["theorem"]) == 3
         assert capsys.readouterr().err == "error: SVD did not converge\n"
 
+    # A task too large for memory: the sizes come from the config, so the
+    # failure is a bad configuration. Nothing is allocated for real.
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "error: Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_2(self, tmp_path, monkeypatch, capsys, exc, line):
+        def fail(spec):
+            raise exc
+
+        monkeypatch.setattr(rosa.cli, "generate_synthetic", fail)
+        cfg = write_config(tmp_path, method="ft", rank=None, epochs=1,
+                           data={"n_train": 10**12})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [line]
+        assert "Traceback" not in err
+
 
 class TestTheorem:
     def test_exit_zero_and_report(self, tmp_path, capsys):

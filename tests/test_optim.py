@@ -276,6 +276,94 @@ class TestFlatLayout:
                 opt.step(swapped, grads_for(swapped, 1))
 
 
+def with_layer(grads: GradientSet, i: int, **changes) -> GradientSet:
+    """grads with layer i's entries replaced; a None value drops the key."""
+    layers = [dict(d) for d in grads.layers]
+    layers[i].update(changes)
+    layers[i] = {k: g for k, g in layers[i].items() if g is not None}
+    return GradientSet(layers=layers)
+
+
+# The bad calls on a rosa_bias_net (layers 8x6 and 5x8, rank 2). A gradient
+# case edits the net's own gradients, so it is bad on any step. A network
+# case steps another network with its own well-formed gradients, so it is
+# bad only against the layout an earlier step fixed; it shares the arrays
+# of the layers it keeps.
+GRADIENT_CASES = {
+    "fewer_gradient_layers": lambda g: GradientSet(layers=g.layers[:1]),
+    "missing_key": lambda g: with_layer(g, 1, bias=None),
+    "extra_key": lambda g: with_layer(g, 0, extra=np.zeros(8)),
+    "renamed_key": lambda g: with_layer(g, 0, a=None, w=g.layers[0]["a"]),
+    "gradient_shape": lambda g: with_layer(g, 1, b=np.zeros((2, 9))),
+}
+NETWORK_CASES = {
+    "fewer_layers": lambda net: Mlp(layers=net.layers[:1]),
+    "more_layers": lambda net: Mlp(
+        layers=[*net.layers, *single_layer_net(np.ones((5, 5))).layers]),
+    "other_keys": lambda net: Mlp(layers=[net.layers[0], *single_layer_net(
+        net.layers[1].adapter.effective_weight(), net.layers[1].bias).layers]),
+    "other_shapes": lambda net: adapt_network(
+        build_mlp([6, 8, 5], np.random.default_rng(0)),
+        TrainConfig(method="rosa", rank=3, epochs=1), np.random.default_rng(0)),
+}
+
+
+class TestRejectedStepChangesNothing:
+    """A step that raises ContractViolationError leaves every parameter, the
+    moments, the step counts and the network version as they were, and
+    the next valid step matches an optimizer that never saw the bad call."""
+
+    KWARGS = dict(learning_rate=0.03, weight_decay=0.05)
+
+    def check(self, steps_before: int, bad_call):
+        net, twin_net = rosa_bias_net(16), rosa_bias_net(16)
+        opt, twin = AdamW(**self.KWARGS), AdamW(**self.KWARGS)
+        for step in range(steps_before):
+            if step == 1:
+                opt.reset_moments(0, ("a", "b"))
+                twin.reset_moments(0, ("a", "b"))
+            opt.step(net, grads_for(net, 300 + step))
+            twin.step(twin_net, grads_for(twin_net, 300 + step))
+        bad_net, bad_grads = bad_call(net)
+        nets = (net, bad_net) if bad_net is not net else (net,)
+        before = [[a.copy() for a in net_arrays(n)] for n in nets]
+        versions = [n.version for n in nets]
+        flat = opt._flat
+        state = None if flat is None else (flat.m.copy(), flat.v.copy(), list(flat.t))
+        with pytest.raises(ContractViolationError):
+            opt.step(bad_net, bad_grads)
+        for n, arrays, version in zip(nets, before, versions):
+            assert all(np.array_equal(a, b) for a, b in zip(net_arrays(n), arrays))
+            assert n.version == version
+        if state is None:
+            assert opt._flat is None
+        else:
+            assert opt._flat is flat
+            assert np.array_equal(flat.m, state[0])
+            assert np.array_equal(flat.v, state[1])
+            assert flat.t == state[2]
+        opt.step(net, grads_for(net, 500))
+        twin.step(twin_net, grads_for(twin_net, 500))
+        for got, want in zip(net_arrays(net), net_arrays(twin_net)):
+            assert np.array_equal(got, want)
+        for name in ("m", "v", "t"):
+            assert np.array_equal(getattr(opt._flat, name), getattr(twin._flat, name))
+
+    @pytest.mark.parametrize("steps_before", [0, 3])
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_bad_gradients(self, case, steps_before):
+        self.check(steps_before,
+                   lambda net: (net, GRADIENT_CASES[case](grads_for(net, 400))))
+
+    @pytest.mark.parametrize("case", NETWORK_CASES)
+    def test_other_network(self, case):
+        def bad_call(net):
+            other = NETWORK_CASES[case](net)
+            return other, grads_for(other, 400)
+
+        self.check(3, bad_call)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (4, 1000)])
 def test_fused_loss_bitwise(shape):
     rng = np.random.default_rng(sum(shape))

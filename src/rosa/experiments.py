@@ -3,20 +3,19 @@
 Three families: the exact-solver suite on linear instances, learning-rate
 sweeps of the synthetic teacher-student task, and the residual-spectrum
 report comparing two networks. The training runs of a sweep or grid are
-split over forked worker processes, one per CPU the process may use when
-BLAS runs one thread per process; the results do not depend on how many
-there are. While a grid is split, factorize events take their SVDs on the
-calling thread only.
+split over multiprocessing fork processes, one per CPU the process may use
+when BLAS runs one thread per process; the results do not depend on how
+many there are. A caller beside other threads, or a daemonic one such as
+a Pool worker, runs them inline. While a grid is split, factorize events
+take their SVDs on the calling thread only.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
+import multiprocessing
 import pickle
 import threading
 from dataclasses import replace
-from typing import BinaryIO
 
 import numpy as np
 
@@ -26,9 +25,8 @@ from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
                     rrr_optimum, with_off_range_noise)
 from .fileio import atomic_open
-# _run_cells looks _worker_count up here, where tests patch it; tests read
-# _BLAS_THREAD_VARS here too.
-from .linalg import _BLAS_THREAD_VARS, _worker_count, singular_values  # noqa: F401
+# _run_cells looks _worker_count up here, where tests patch it.
+from .linalg import _worker_count, singular_values
 from .network import Mlp
 from .synthetic import SyntheticTask
 from .training import CHOICES, TrainConfig, TrainResult, run_training
@@ -136,32 +134,13 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _fork_share(task: SyntheticTask, configs: list[TrainConfig],
-                indices: range) -> tuple[int, BinaryIO]:
-    """Run a share in a forked child; returns (pid, read end of its pipe).
-
-    The child pickles its share's (results, error) into the pipe and leaves
-    through os._exit, so it never returns into the caller's stack.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            results, error = _run_share(task, configs, indices)
-            if error is not None:
-                error = (error[0], _portable(error[1]))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump((results, error), pipe, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        except BaseException:
-            import traceback  # failure paths only, as signal below
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
+def _child(task: SyntheticTask, configs: list[TrainConfig], indices: range,
+           pipe) -> None:
+    """A worker process's body: run its share, send back (results, error)."""
+    results, error = _run_share(task, configs, indices)
+    if error is not None:
+        error = (error[0], _portable(error[1]))
+    pipe.send((results, error))
 
 
 def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
@@ -173,35 +152,40 @@ def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
     split the thread budget of linalg is 1, here and in the children: the
     k processes already take the CPUs, so factorize events stay serial.
     """
+    fork = multiprocessing.get_context("fork")
     children = []
     budget = linalg._split_budget
     linalg._split_budget = 1
     try:
         for w in range(1, k):
             share = range(w, len(configs), k)
-            children.append((*_fork_share(task, configs, share), share))
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_child,
+                                 args=(task, configs, share, writer))
+            children.append((child, reader, share))
+            child.start()
+            writer.close()  # so recv sees EOF once the child is gone
         shares = [_run_share(task, configs, range(0, len(configs), k))]
-        while children:
-            pid, pipe, share = children[0]
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
+        for child, reader, share in children:
+            try:
+                payload = reader.recv()
+            except (EOFError, OSError):  # nothing sent, or a truncated frame
+                payload = None
+            child.join()
+            if payload is None or child.exitcode != 0:
                 raise RosaError(
                     f"worker process for grid cells {list(share)} exited "
-                    f"with code {code} before returning its results"
+                    f"with code {child.exitcode} before returning its results"
                 )
-            shares.append(pickle.loads(payload))
+            shares.append(payload)
         return shares
     finally:
         linalg._split_budget = budget
-        for pid, pipe, _ in children:
-            import signal
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child, reader, _ in children:
+            reader.close()
+            if child.is_alive():
+                child.kill()
+                child.join()
 
 
 def _run_cells(task: SyntheticTask,
@@ -210,16 +194,19 @@ def _run_cells(task: SyntheticTask,
 
     Results come back in input order. The cells are split over
     _worker_count() processes (at most one per cell): this one plus forked
-    children, or this one alone when the process has other threads. Each
-    run depends only on its config and the task, so the results are the
-    same for any worker count. Any other failure re-raises here, the one
-    of the earliest failing cell as in a serial loop.
+    children, or this one alone when the process has other threads or is
+    daemonic. Each run depends only on its config and the task, so the
+    results are the same for any worker count. Any other failure re-raises
+    here, the one of the earliest failing cell as in a serial loop.
     """
     k = min(len(configs), _worker_count())
     # fork, not spawn: a spawned worker would import NumPy again, a good
     # part of a short grid. A child copies only the forking thread, so
     # forking beside other threads could copy a lock that one of them held.
-    if k > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    # A daemonic process, such as a Pool worker, may not have children.
+    if (k > 1 and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon):
         shares = _run_forked(task, configs, k)
     else:
         shares = [_run_share(task, configs, range(len(configs)))]

@@ -53,6 +53,10 @@ class Mlp:
     layers: list[DenseLayer]
     version: int = 0
 
+    def __post_init__(self):
+        if not self.layers:
+            raise InvalidInputError("an Mlp needs at least one layer")
+
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim

@@ -86,16 +86,17 @@ class AdamW:
                                      compare=False)
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise InvalidInputError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "epsilon"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise InvalidInputError(f"{name} must be in [0, 1), got {value}")
-        if not self.epsilon > 0.0:
-            raise InvalidInputError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0.0:
-            raise InvalidInputError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise InvalidInputError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:

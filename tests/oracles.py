@@ -6,11 +6,15 @@ an orthonormal basis from the SVD, central finite differences instead of
 reverse mode, batched gradient descent instead of the closed form. Slow and
 simple on purpose; shapes stay small in the tests that call these. The
 module also holds the helpers only tests need: random_instance,
-reconstruct and assert_svd_contract.
+reconstruct, assert_svd_contract and no_layer_checkpoint.
 """
+
+import json
+import struct
 
 import numpy as np
 
+from rosa.checkpoint import FORMAT_VERSION, MAGIC
 from rosa.errors import InvalidInputError, SingularMatrixError
 from rosa.exact import RegressionProblem, data_error, least_squares
 from rosa.linalg import SvdFactors, as_matrix
@@ -382,3 +386,11 @@ def assert_svd_contract(factors: SvdFactors, w) -> None:
                        atol=1e-13 * max(m, n) * scale)
     assert np.allclose(factors.u.T @ factors.u, np.eye(k), rtol=0.0, atol=1e-12)
     assert np.allclose(factors.v.T @ factors.v, np.eye(k), rtol=0.0, atol=1e-12)
+
+
+def no_layer_checkpoint() -> bytes:
+    """A checkpoint file whose meta lists no layers and that holds no
+    tensors; Mlp refuses an empty layer list, so no encoder writes one."""
+    meta = json.dumps({"layers": []}).encode()
+    return (MAGIC + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", len(meta)) + meta + struct.pack("<I", 0))

@@ -24,6 +24,8 @@ from rosa.errors import CheckpointFormatError
 from rosa.linalg import SamplingScheme
 from rosa.network import Activation, DenseLayer, Mlp, build_mlp, predict
 
+from oracles import no_layer_checkpoint
+
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
@@ -293,7 +295,7 @@ class TestSelfConsistency:
 
     def test_no_layers_rejected(self):
         with pytest.raises(CheckpointFormatError, match="no layers"):
-            reloaded(Mlp(layers=[]))
+            decode_checkpoint(no_layer_checkpoint())
 
     # The constructors refuse an empty weight, so the files are edited.
     # `rosa spectrum` must exit 4, not fail later in the SVD with exit 2.

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import struct
 import tempfile
 import warnings
 
@@ -19,6 +20,8 @@ from rosa.cli import main
 from rosa.experiments import run_method_comparison
 from rosa.network import Activation, DenseLayer, Mlp, predict
 from rosa.synthetic import SyntheticSpec, generate_synthetic
+
+from oracles import no_layer_checkpoint
 
 TINY_DATA = {"layer_dims": [6, 8, 4], "drift_rank": 2, "n_train": 32,
              "n_val": 16, "seed": 0}
@@ -272,13 +275,16 @@ class TestExitCodes:
     ], ids=["unchained", "empty"])
     def test_unchained_checkpoint_is_4(self, tmp_path, capsys, out_dims,
                                        message):
-        rng = np.random.default_rng(0)
-        net = Mlp(layers=[
-            DenseLayer(adapter=full_init(rng.standard_normal((out_d, 2))),
-                       bias=np.zeros(out_d), activation=Activation.IDENTITY)
-            for out_d in out_dims])
         bad = tmp_path / "bad.rsa1"
-        save_checkpoint(net, bad)
+        if out_dims:
+            rng = np.random.default_rng(0)
+            save_checkpoint(Mlp(layers=[
+                DenseLayer(adapter=full_init(rng.standard_normal((out_d, 2))),
+                           bias=np.zeros(out_d),
+                           activation=Activation.IDENTITY)
+                for out_d in out_dims]), bad)
+        else:
+            bad.write_bytes(no_layer_checkpoint())
         assert main(["spectrum", str(bad), str(bad),
                      "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
@@ -492,6 +498,24 @@ class TestGrids:
             return real(config, task)
 
         monkeypatch.setattr(rosa.experiments, "run_training", dying)
+        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 2)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"data": TINY_DATA}))
+        code = main(["schemes", "--config", str(cfg), "--rank", "2",
+                     "--epochs", "1", "--out", str(tmp_path / "s")])
+        assert code == 3
+        assert "exited with code 1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_truncated_result_is_3(self, tmp_path, monkeypatch, capsys):
+        # A worker that dies mid-send is a dead worker, not an I/O error.
+        def cut_off(task, configs, indices, pipe):
+            os.write(pipe.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+            os._exit(1)
+
+        monkeypatch.setattr(rosa.experiments, "_child", cut_off)
         monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 2)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))

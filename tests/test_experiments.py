@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import struct
 import threading
 import time
 
@@ -192,6 +193,11 @@ def workers(monkeypatch):
             os.waitpid(pid, os.WNOHANG)
 
 
+def sweep_rows(task, base, lrs):
+    """The lr_rows of a sweep; a Pool worker runs it."""
+    return sweep_learning_rates(task, base, lrs)["lr_rows"]
+
+
 def assert_same_net(got, want):
     assert len(got.layers) == len(want.layers)
     for mine, theirs in zip(got.layers, want.layers):
@@ -289,6 +295,22 @@ class TestWorkerCount:
         assert forked == []
         assert len(sweep["lr_rows"]) == 2
 
+    def test_inline_in_a_daemonic_process(self, workers):
+        # A Pool worker is daemonic and may not have children.
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        workers(1)
+        serial = sweep_rows(task, base, self.LRS)
+        forked = workers(2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            rows = pool.apply(sweep_rows, (task, base, self.LRS))
+        finally:
+            pool.close()
+            pool.join()
+        assert len(forked) == 1  # the Pool's worker, and no child of it
+        assert rows == serial
+
     def test_split_runs_factorize_serially(self, workers, monkeypatch):
         # Outside a split, 4 CPUs at one BLAS thread each give factorize
         # events threads; inside a 2-process split the parent starts none.
@@ -325,7 +347,7 @@ class TestWorkerCount:
     def test_workers_share_the_cpus_with_blas(self, monkeypatch, env,
                                               per_process):
         # BLAS runs one thread per CPU unless the environment says otherwise.
-        for var in rosa.experiments._BLAS_THREAD_VARS:
+        for var in rosa.linalg._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
@@ -422,6 +444,19 @@ class TestWorkerFailures:
                 os._exit(1)
 
         self.patch_runs(monkeypatch, action)
+        workers(2)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="ft", epochs=1, batch_size=16)
+        with pytest.raises(RosaError, match="exited with code 1"):
+            sweep_learning_rates(task, base, self.LRS)
+
+    def test_truncated_frame_raises(self, monkeypatch, workers):
+        def cut_off(task, configs, indices, pipe):
+            # The header of a 1000-byte frame, then 10 of its bytes.
+            os.write(pipe.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+            os._exit(1)
+
+        monkeypatch.setattr(rosa.experiments, "_child", cut_off)
         workers(2)
         task = generate_synthetic(SMALL)
         base = TrainConfig(method="ft", epochs=1, batch_size=16)

@@ -68,6 +68,10 @@ class TestBuildMlp:
         with pytest.raises(InvalidInputError):
             build_mlp([7], rng_for(2))
 
+    def test_no_layers_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one layer"):
+            Mlp(layers=[])
+
     def test_he_scale(self):
         net = build_mlp([200, 300], rng_for(3))
         w = net.layers[0].adapter.w

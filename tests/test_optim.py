@@ -147,6 +147,12 @@ class TestHyperparamValidation:
         {"learning_rate": 0.01, "beta2": -0.1},
         {"learning_rate": 0.01, "epsilon": 0.0},
         {"learning_rate": 0.01, "weight_decay": -0.5},
+        {"learning_rate": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": 0.01, "epsilon": float("inf")},
+        {"learning_rate": 0.01, "epsilon": float("nan")},
+        {"learning_rate": 0.01, "weight_decay": float("inf")},
+        {"learning_rate": 0.01, "weight_decay": float("nan")},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):

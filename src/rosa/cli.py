@@ -6,7 +6,7 @@ mirror TrainConfig, with an optional "data" object mirroring SyntheticSpec)
 plus flag overrides; flags win; a grid reads only "data". Each JSON value
 is checked against its field's type before any config is built. Exit codes:
 0 success, 2 bad configuration (or one too large for memory), 3 numeric
-failure, 4 I/O or file-format failure.
+failure, 4 I/O or file-format failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 # subclass of RosaError comes before it.
 _EXIT_CODES = {ConfigError: 2, InvalidInputError: 2, MemoryError: 2,
                CheckpointFormatError: 4, OSError: 4,
-               RosaError: 3, np.linalg.LinAlgError: 3}
+               RosaError: 3, np.linalg.LinAlgError: 3, KeyboardInterrupt: 130}
 
 
 def main(argv=None) -> int:

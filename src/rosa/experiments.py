@@ -6,8 +6,7 @@ report comparing two networks. The training runs of a sweep or grid are
 split over multiprocessing fork processes, one per CPU the process may use
 when BLAS runs one thread per process; the results do not depend on how
 many there are. A caller beside other threads, or a daemonic one such as
-a Pool worker, runs them inline. While a grid is split, factorize events
-take their SVDs on the calling thread only.
+a Pool worker, runs them inline.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import linalg
 from .errors import InvalidInputError, NumericError, RosaError
 from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
@@ -148,14 +146,11 @@ def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
     """Deal the cells round-robin to this process and k - 1 forked children.
 
     Every child is reaped before this returns or raises; one that exits
-    without sending its results raises RosaError. For the length of the
-    split the thread budget of linalg is 1, here and in the children: the
-    k processes already take the CPUs, so factorize events stay serial.
+    without sending its results raises RosaError. Every child starts before
+    this process runs share 0, so none is forked beside a factorize thread.
     """
     fork = multiprocessing.get_context("fork")
     children = []
-    budget = linalg._split_budget
-    linalg._split_budget = 1
     try:
         for w in range(1, k):
             share = range(w, len(configs), k)
@@ -180,7 +175,6 @@ def _run_forked(task: SyntheticTask, configs: list[TrainConfig],
             shares.append(payload)
         return shares
     finally:
-        linalg._split_budget = budget
         for child, reader, _ in children:
             reader.close()
             if child.is_alive():

@@ -4,7 +4,8 @@ Thin deterministic SVD, singular values, numerical rank, and the
 index-subset sampling used to pick singular directions. All functions take
 and return float64 ndarrays and never mutate their inputs. svd_each takes
 the SVDs of several matrices on concurrent threads, as many as
-_worker_count() allows, with the same bytes as one svd call per matrix.
+_worker_count() allows, in a grid's worker processes as in a lone run,
+with the same bytes as one svd call per matrix.
 """
 
 from __future__ import annotations
@@ -89,23 +90,16 @@ def _canonical(u: Array, s: Array, vt: Array) -> SvdFactors:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                      "OMP_NUM_THREADS")
 
-# The worker count while a grid is split over processes (1: the processes
-# already take every CPU), or None outside a split. The split sets it
-# before it forks and restores it when it ends.
-_split_budget: int | None = None
-
 
 def _worker_count() -> int:
     """Processes or threads the CPUs take at once without oversubscription.
 
     The CPUs in this process's affinity mask divided by the BLAS threads of
     each, as the environment sets them; 1 where the platform has no
-    affinity mask or no BLAS variable is set, and _split_budget while a
-    grid split is running. Two workers that each run a BLAS thread per CPU
-    are slower than one.
+    affinity mask or no BLAS variable is set. Two workers that each run a
+    BLAS thread per CPU are slower than one. It counts the processes of a
+    grid split and the threads of every factorize event alike.
     """
-    if _split_budget is not None:
-        return _split_budget
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:

@@ -6,7 +6,7 @@ an orthonormal basis from the SVD, central finite differences instead of
 reverse mode, batched gradient descent instead of the closed form. Slow and
 simple on purpose; shapes stay small in the tests that call these. The
 module also holds the helpers only tests need: random_instance,
-reconstruct, assert_svd_contract and no_layer_checkpoint.
+realizable_task, reconstruct, assert_svd_contract and no_layer_checkpoint.
 """
 
 import json
@@ -14,11 +14,13 @@ import struct
 
 import numpy as np
 
+from rosa.adapters import full_init
 from rosa.checkpoint import FORMAT_VERSION, MAGIC
 from rosa.errors import InvalidInputError, SingularMatrixError
 from rosa.exact import RegressionProblem, data_error, least_squares
 from rosa.linalg import SvdFactors, as_matrix
-from rosa.network import Mlp, forward, mse_loss
+from rosa.network import Activation, DenseLayer, Mlp, forward, mse_loss
+from rosa.synthetic import SyntheticTask
 
 
 def jacobi_singular_values(w) -> np.ndarray:
@@ -360,6 +362,32 @@ def random_instance(n: int, d: int, p: int, seed: int) -> RegressionProblem:
     return RegressionProblem(x=rng.standard_normal((n, d)),
                              y=rng.standard_normal((n, p)),
                              w0=rng.standard_normal((d, p)))
+
+
+def realizable_task(problem: RegressionProblem
+                    ) -> tuple[SyntheticTask, RegressionProblem]:
+    """A training task for a linear instance, and the instance it trains on.
+
+    The columns of x are centered and the targets are y = x_c @ w_ls, so
+    the best bias is zero for every weight: the bias, trainable in every
+    method, cannot take a rank-limited correction below its bound. The net
+    is one identity layer holding w0.T (the teacher holds w_ls.T) with a
+    zero bias, and every sample is both a training and a validation sample.
+    Returns the task and the problem on (x_c, y, w0).
+    """
+    x_c = problem.x - problem.x.mean(axis=0)
+    centered = RegressionProblem(x=x_c, y=x_c @ problem.w_ls, w0=problem.w0)
+
+    def linear_net(w):
+        return Mlp(layers=[DenseLayer(adapter=full_init(w.T),
+                                      bias=np.zeros(w.shape[1]),
+                                      activation=Activation.IDENTITY)])
+
+    x, y = x_c.T, centered.y.T
+    task = SyntheticTask(base=linear_net(problem.w0),
+                         teacher=linear_net(problem.w_ls),
+                         x_train=x, y_train=y, x_val=x, y_val=y)
+    return task, centered
 
 
 def reconstruct(factors: SvdFactors) -> np.ndarray:

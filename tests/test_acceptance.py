@@ -2,7 +2,7 @@
 
 One test per shipped guarantee. Each test prints a scoreboard line outside
 pytest's capture, then asserts the details, so a plain run of this file
-shows twelve PASS/FAIL verdicts with wall times whatever else is going on.
+shows thirteen PASS/FAIL verdicts with wall times whatever else is going on.
 
 The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
 a module fixture, split over one process per CPU; expect about 20 s there
@@ -29,6 +29,7 @@ from rosa.exact import (
     achieved_error,
     irreducible_error,
     lora_error_lower_bound,
+    realizable_instance,
     rrr_optimum,
 )
 from rosa.experiments import run_method_comparison
@@ -37,6 +38,7 @@ from rosa.network import (
     backward,
     build_mlp,
     forward,
+    mse_loss,
     mse_loss_gradient,
     predict,
 )
@@ -49,7 +51,8 @@ from rosa.training import (
     write_metrics_csv,
 )
 
-from oracles import finite_difference_gradients, gd_rank_limited, random_instance
+from oracles import (finite_difference_gradients, gd_rank_limited,
+                     random_instance, realizable_task)
 
 FINGERPRINT = pathlib.Path(__file__).with_name("grid_fingerprint.json")
 ENTRIES = [("ft", None), ("rosa", 2), ("rosa", 6), ("rosa", 12),
@@ -406,4 +409,40 @@ def test_12_memory_parity_with_lora(capsys):
                             f"entries for rosa, {lora_state} for lora")
     elapsed = time.perf_counter() - t0
     scoreboard(capsys, 12, "memory parity with lora", elapsed, failures)
+    assert not failures, failures
+
+
+def test_13_trained_path_meets_the_theorem(capsys):
+    # The paper's claim through the training loop: on a centered realizable
+    # instance of residual rank 6, re-sampling at rank 2 ends far below the
+    # floor of every rank-2 correction, and LoRA ends on that floor. A run
+    # is judged by its final net's MSE over the training set; train_loss
+    # averages an epoch over moving weights.
+    t0 = time.perf_counter()
+    failures = []
+    n, p = 512, 8
+    task, problem = realizable_task(
+        realizable_instance(n=n, d=16, p=p, residual_rank=6, seed=0))
+    bound = lora_error_lower_bound(problem, 2) / (n * p)
+
+    def final_mse(method, lr, factorize_every=1):
+        config = TrainConfig(method=method, rank=2, lr=lr, epochs=400,
+                             batch_size=64, factorize_every=factorize_every)
+        net = run_training(config, task).net
+        return mse_loss(predict(net, task.x_train), task.y_train)
+
+    rosa = final_mse("rosa", 1e-3, factorize_every=5)
+    if rosa > bound / 100:
+        failures.append(f"re-sampled run ends at {rosa / bound:.3e} x the "
+                        f"rank-2 bound {bound:.6e}, not 100x below it")
+    for lr in (1e-3, 3e-3, 1e-2):
+        lora = final_mse("lora", lr)
+        if lora < bound * (1 - 1e-9):
+            failures.append(f"frozen pair at lr {lr} ends at {lora:.12e}, "
+                            f"below the rank-2 bound {bound:.12e}")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 30.0:
+        failures.append(f"took {elapsed:.2f}s, budget 30s")
+    scoreboard(capsys, 13, "trained path meets the theorem", elapsed,
+               failures)
     assert not failures, failures

@@ -323,6 +323,36 @@ class TestExitCodes:
         assert err.splitlines() == [line]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_interrupt_is_130(self, tmp_path, monkeypatch, capsys, workers,
+                              command, count):
+        # Ctrl-C reaches this process's run; a grid's children are killed
+        # and reaped on the way out (the workers fixture checks).
+        parent = os.getpid()
+        real = rosa.experiments.run_training
+
+        def interrupted(config, task):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(config, task)
+
+        monkeypatch.setattr(rosa.cli, "run_training", interrupted)
+        monkeypatch.setattr(rosa.experiments, "run_training", interrupted)
+        forked = workers(count)
+        if command == "train":
+            argv = ["train", "--config", write_config(tmp_path)]
+        else:
+            cfg = tmp_path / "grid.json"
+            cfg.write_text(json.dumps({"data": TINY_DATA}))
+            argv = ["compare", "--config", str(cfg), "--ranks", "2",
+                    "--epochs", "1"]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err.splitlines() == ["error: KeyboardInterrupt"]
+        assert len(forked) == (count - 1 if command == "compare" else 0)
+
 
 class TestTheorem:
     def test_exit_zero_and_report(self, tmp_path, capsys):

@@ -164,35 +164,6 @@ class TestLrSweep:
             assert [row["diverged"] for row in cell["lr_rows"]] == [True, False]
 
 
-@pytest.fixture
-def workers(monkeypatch):
-    """Set the worker count the cell runner sees; returns the pids it forks
-    from then on. Every forked child must be reaped by the end of the test.
-    """
-    forked, every_pid = [], []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-            every_pid.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-
-    def use(count):
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: count)
-        forked.clear()
-        return forked
-
-    yield use
-    assert multiprocessing.active_children() == []
-    for pid in every_pid:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def sweep_rows(task, base, lrs):
     """The lr_rows of a sweep; a Pool worker runs it."""
     return sweep_learning_rates(task, base, lrs)["lr_rows"]
@@ -311,9 +282,11 @@ class TestWorkerCount:
         assert len(forked) == 1  # the Pool's worker, and no child of it
         assert rows == serial
 
-    def test_split_runs_factorize_serially(self, workers, monkeypatch):
-        # Outside a split, 4 CPUs at one BLAS thread each give factorize
-        # events threads; inside a 2-process split the parent starts none.
+    def test_split_threads_factorize_like_a_lone_run(self, workers,
+                                                     monkeypatch):
+        # One rule: 4 CPUs at one BLAS thread each give every factorize
+        # event of the 2-layer net a second thread, in a lone run and in
+        # this process's share of a 2-process split alike.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         started = []
@@ -326,15 +299,19 @@ class TestWorkerCount:
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         task = generate_synthetic(SMALL)
         base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
-        rosa.training.run_training(base, task)
-        assert len(started) == 2
+        lone = rosa.training.run_training(base, task)
+        events = lone.summary["factorize_events"]
+        assert events == 2
+        assert len(started) == events
+        workers(1)
+        serial = sweep_rows(task, base, self.LRS)
         started.clear()
         forked = workers(2)
         sweep = sweep_learning_rates(task, base, self.LRS)
         assert len(forked) == 1
-        assert started == []
-        assert len(sweep["lr_rows"]) == len(self.LRS)
-        assert rosa.linalg._split_budget is None
+        # This process runs rates 0 and 2 of the four, the child 1 and 3.
+        assert len(started) == 2 * events
+        assert sweep["lr_rows"] == serial
         assert rosa.linalg._worker_count() == 4
 
     @pytest.mark.parametrize("env, per_process", [

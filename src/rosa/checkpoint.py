@@ -106,7 +106,7 @@ def decode_checkpoint(data: bytes) -> Mlp:
     meta_bytes = cur.take(meta_len, "meta JSON")
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"meta JSON is invalid: {exc}", meta_offset) from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("layers"), list):
         raise CheckpointFormatError("meta JSON lacks a 'layers' list", meta_offset)

@@ -83,7 +83,8 @@ def _load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("config", f"file not found: {path}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or a too long int
+    # Bad JSON or UTF-8, a too long int, or nesting too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("config", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")

@@ -95,10 +95,10 @@ def _worker_count() -> int:
     """Processes or threads the CPUs take at once without oversubscription.
 
     The CPUs in this process's affinity mask divided by the BLAS threads of
-    each, as the environment sets them; 1 where the platform has no
-    affinity mask or no BLAS variable is set. Two workers that each run a
-    BLAS thread per CPU are slower than one. It counts the processes of a
-    grid split and the threads of every factorize event alike.
+    each, as the first BLAS variable set to a positive ASCII integer says;
+    1 without an affinity mask or such a variable. Two workers that each
+    run a BLAS thread per CPU are slower than one. It counts the processes
+    of a grid split and the threads of every factorize event alike.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -106,7 +106,7 @@ def _worker_count() -> int:
         return 1
     for var in _BLAS_THREAD_VARS:
         value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
+        if value.isascii() and value.isdigit() and int(value) > 0:
             return max(1, cpus // int(value))
     return 1
 

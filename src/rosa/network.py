@@ -5,9 +5,9 @@ output together with a cache holding, per layer, the record its adapter's
 forward_cached returned plus the pre-activation "z"; backward hands each
 record back to its adapter and produces gradients for trainable parameters
 only. Layers never branch on their adapter's kind (see rosa.adapters).
-The cache carries the network's version counter, and any parameter mutation
-is expected to bump it, so gradients can never be computed from stale
-activations.
+The cache carries its network and that network's version counter, and any
+parameter mutation is expected to bump it, so gradients can never be
+computed from stale activations or from another network's.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ class Mlp:
 
 @dataclass
 class ForwardCache:
+    net: Mlp
     version: int
     records: list[dict[str, Array]]
 
@@ -122,7 +123,7 @@ def forward(net: Mlp, x) -> tuple[Array, ForwardCache]:
         rec["z"] = z
         records.append(rec)
         h = layer.activation.apply(z)
-    return h, ForwardCache(version=net.version, records=records)
+    return h, ForwardCache(net=net, version=net.version, records=records)
 
 
 def predict(net: Mlp, x) -> Array:
@@ -161,6 +162,8 @@ def backward(net: Mlp, cache: ForwardCache, output_grad) -> GradientSet:
     and no gradient with respect to the network input is computed: the
     first layer stops at its parameter gradients.
     """
+    if cache.net is not net:
+        raise ContractViolationError("forward cache belongs to another network")
     if cache.version != net.version:
         raise ContractViolationError(
             f"forward cache is stale: cache version {cache.version}, "

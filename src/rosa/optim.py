@@ -28,9 +28,9 @@ class _FlatState:
     layout holds (layer, name, shape, slice) per key: every layer's
     trainable arrays in protocol order, then every layer's bias, so the
     keys a factorize event resets lie next to each other. layers is the
-    network's layer count; t holds each key's step count. g, s and u are
-    scratch for the flat gradient, a temporary and the update; u_views are
-    u's per-key slices shaped like the parameters.
+    network's layer count; t holds each key's step count. g and u are
+    scratch, g for the flat gradient and u for the update; u_views are u's
+    per-key slices shaped like the parameters.
     """
 
     layout: tuple
@@ -39,7 +39,6 @@ class _FlatState:
     m: Array
     v: Array
     g: Array
-    s: Array
     u: Array
     u_views: list
 
@@ -55,8 +54,7 @@ class _FlatState:
         u = np.zeros(start)
         return cls(
             layout=tuple(layout), layers=len(net.layers), t=[0] * len(layout),
-            m=np.zeros(start), v=np.zeros(start), g=np.zeros(start),
-            s=np.zeros(start), u=u,
+            m=np.zeros(start), v=np.zeros(start), g=np.zeros(start), u=u,
             u_views=[u[sl].reshape(shape) for _, _, shape, sl in layout],
         )
 
@@ -129,31 +127,32 @@ class AdamW:
             )
         self._flat = st
         st.t = ts = [t + 1 for t in st.t]
-        m, v, g, s, u = st.m, st.v, st.g, st.s, st.u
+        m, v, g, u = st.m, st.v, st.g, st.u
         b1, b2, lr = self.beta1, self.beta2, self.learning_rate
         np.concatenate(flat_grads, axis=None, out=g)
         # Element by element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
         # u = (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
         # c1 = 1 - b1**t and c2 = 1 - b2**t taken per run of adjacent keys
-        # that share a step count t.
+        # that share a step count t. u is scratch for the moment updates;
+        # once m and v have read g, g holds lr*(m/c1).
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s)
+        m += np.multiply(g, 1.0 - b1, out=u)
         v *= b2
-        np.multiply(g, g, out=s)
-        s *= 1.0 - b2
-        v += s
+        np.multiply(g, g, out=u)
+        u *= 1.0 - b2
+        v += u
         start = 0
         for k, t in enumerate(ts):
             if k + 1 < len(ts) and ts[k + 1] == t:
                 continue
             run = slice(start, st.layout[k][3].stop)
-            np.divide(m[run], 1.0 - b1 ** t, out=s[run])
+            np.divide(m[run], 1.0 - b1 ** t, out=g[run])
             np.divide(v[run], 1.0 - b2 ** t, out=u[run])
             start = run.stop
-        s *= lr
+        g *= lr
         np.sqrt(u, out=u)
         u += self.epsilon
-        np.divide(s, u, out=u)
+        np.divide(g, u, out=u)
         decay = 1.0 - lr * self.weight_decay
         for p, update in zip(params, st.u_views):
             if self.weight_decay > 0.0:

@@ -162,11 +162,13 @@ def _factorize_rosa_layers(net: Mlp, optimizer: AdamW,
     net.bump()
 
 
-def _drift_ranks(net: Mlp, initial_weights: list) -> tuple[int, ...]:
-    """Numerical rank of each layer's move away from its starting weight."""
+def _drift_ranks(net: Mlp, initial_net: Mlp) -> tuple[int, ...]:
+    """Numerical rank of each layer's move away from its starting weight,
+    merged from the start snapshot one layer at a time."""
     return tuple(
-        numerical_rank(layer.adapter.effective_weight() - w0, _RESIDUAL_RANK_TOL)
-        for layer, w0 in zip(net.layers, initial_weights)
+        numerical_rank(layer.adapter.effective_weight()
+                       - start.adapter.effective_weight(), _RESIDUAL_RANK_TOL)
+        for layer, start in zip(net.layers, initial_net.layers)
     )
 
 
@@ -183,8 +185,6 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     net = adapt_network(task.base, config, rng)
     initial_net = net.copy()
-    initial_weights = [layer.adapter.effective_weight()
-                       for layer in initial_net.layers]
     optimizer = make_optimizer(config)
     n = task.x_train.shape[1]
     batch = min(config.batch_size, n)
@@ -213,8 +213,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
                     f"step {global_step}"
                 )
             sq_sum += loss * cols.size
-            grads = backward(net, cache, loss_grad)
-            optimizer.step(net, grads)
+            optimizer.step(net, backward(net, cache, loss_grad))
             global_step += 1
         if (schedule_on and config.factorize_unit == "epochs"
                 and epoch % config.factorize_every == 0):
@@ -231,7 +230,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
             val_loss=val_loss,
             trainable_params=trainable_params,
             factorize_event=event,
-            residual_ranks=(_drift_ranks(net, initial_weights)
+            residual_ranks=(_drift_ranks(net, initial_net)
                             if event or epoch == config.epochs else None),
         ))
     lora_check = None

@@ -149,6 +149,24 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError):
             decode_checkpoint(bytes(blob))
 
+    def test_deeply_nested_meta_json(self, tmp_path, capsys):
+        # Deeper than the JSON parser's recursion limit.
+        blob = encode_checkpoint(mixed_net(14))
+        meta_len = struct.unpack("<I", blob[8:12])[0]
+        nested = b"[" * 200000
+        bad = (blob[:8] + struct.pack("<I", len(nested)) + nested
+               + blob[12 + meta_len:])
+        with pytest.raises(CheckpointFormatError) as info:
+            decode_checkpoint(bad)
+        assert info.value.offset == 12
+        path = tmp_path / "nested.rsa1"
+        path.write_bytes(bad)
+        assert main(["spectrum", str(path), str(path),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: meta JSON is invalid")
+
     def test_meta_without_layers_key(self):
         blob = encode_checkpoint(mixed_net(15))
         meta_len = struct.unpack("<I", blob[8:12])[0]

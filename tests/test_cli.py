@@ -176,7 +176,9 @@ class TestExitCodes:
         # Python refuses to read an integer of more than 4300 digits.
         b'{"lr": 1' + b"0" * 5000 + b"}",
         b'{"lr": "\xff"}',
-    ], ids=["long-integer", "not-utf8"])
+        # Deeper than the JSON parser's recursion limit.
+        b"[" * 200000,
+    ], ids=["long-integer", "not-utf8", "nested"])
     def test_unreadable_config_is_2(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)

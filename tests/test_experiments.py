@@ -320,6 +320,10 @@ class TestWorkerCount:
         ({"OMP_NUM_THREADS": "2"}, 2),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
         ({"MKL_NUM_THREADS": "junk"}, None),
+        # Digits outside ASCII: int() rejects the superscript and would
+        # read the Arabic-Indic three as 3.
+        ({"OMP_NUM_THREADS": "\u00b2"}, None),
+        ({"MKL_NUM_THREADS": "\u0663"}, None),
     ])
     def test_workers_share_the_cpus_with_blas(self, monkeypatch, env,
                                               per_process):

@@ -236,6 +236,19 @@ class TestCacheDiscipline:
         pred2, cache2 = forward(net, x)
         backward(net, cache2, mse_loss_gradient(pred2, y))
 
+    def test_cache_of_another_net_rejected(self):
+        # A copy has the same version, so only the net itself tells them apart.
+        net = mixed_net(42)
+        x = rng_for(43).standard_normal((4, 3))
+        y = rng_for(44).standard_normal((3, 3))
+        pred, cache = forward(net, x)
+        other = net.copy()
+        other.layers[0].bias += 1.0
+        assert other.version == net.version
+        with pytest.raises(ContractViolationError):
+            backward(other, cache, mse_loss_gradient(pred, y))
+        backward(net, cache, mse_loss_gradient(pred, y))
+
     def test_output_grad_shape_checked(self):
         net = mixed_net(36)
         _, cache = forward(net, rng_for(37).standard_normal((4, 3)))

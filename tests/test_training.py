@@ -1,5 +1,6 @@
 import csv
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,40 @@ class TestDriftReference:
             arr += 1.0
         for w, layer in zip(before, result.initial_net.layers):
             assert np.array_equal(layer.adapter.effective_weight(), w)
+
+
+class TestPeakMemory:
+    """A run holds each array once. Its tracemalloc peak stays under what it
+    needs at one time: the net and its start snapshot; AdamW's m, v, g and
+    u and one gradient set, each as large as the trainable arrays; and four
+    matrices as large as the largest layer for the drift ranks (the trained
+    layer's merge, the snapshot's merge, their difference and LAPACK
+    workspace). Rosa is left out: its factorize event merges and decomposes
+    every layer at once, and that sets its peak."""
+
+    SPEC = SyntheticSpec(layer_dims=(256,) * 7, drift_rank=32, n_train=64,
+                         n_val=8, seed=0)
+
+    @pytest.mark.parametrize("method, rank",
+                             [("lora", 8), ("ia3", None), ("ft", None)])
+    def test_peak_within_the_arrays_a_run_holds(self, method, rank):
+        task = generate_synthetic(self.SPEC)
+        config = TrainConfig(method=method, rank=rank, epochs=2, batch_size=8,
+                             seed=0)
+        tracemalloc.start()
+        try:
+            result = run_training(config, task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net = result.initial_net
+        held = sum(arr.nbytes for arr in all_arrays(net))
+        trainable = sum(arr.nbytes for layer in net.layers
+                        for arr in (*layer.adapter.trainable_arrays().values(),
+                                    layer.bias))
+        largest = max(8 * m * n for m, n in
+                      (layer.adapter.shape for layer in net.layers))
+        assert peak <= 2 * held + 5 * trainable + 4 * largest
 
 
 class TestRunTraining:

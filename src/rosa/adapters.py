@@ -93,18 +93,15 @@ class RosaAdapter(_CheckedForward):
         return {"a": self.a, "b": self.b}
 
     def factorize(self, rng: np.random.Generator | None = None,
-                  factors: SvdFactors | None = None,
-                  merged: Array | None = None) -> None:
+                  factors: SvdFactors | None = None) -> None:
         """Merge the split, decompose, re-sample the trainable slice.
 
-        merged, when given, must be effective_weight() and factors its
-        svd, both taken by the caller (training takes every layer's at once
-        with svd_each); otherwise they are computed here. Post:
-        effective_weight() is unchanged up to roundoff. RANDOM scheme
-        consumes from rng.
+        factors, when given, must be the svd of effective_weight(), taken
+        by the caller (training takes a group of layers' at once with
+        svd_each); otherwise it is computed here. Post: effective_weight()
+        is unchanged up to roundoff. RANDOM scheme consumes from rng.
         """
-        if merged is None:
-            merged = self.effective_weight()
+        merged = self.effective_weight()
         if factors is None:
             factors = svd(merged)
         idx = sample_indices(self.rank, factors.rank_bound, self.scheme, rng)

@@ -146,19 +146,24 @@ def make_optimizer(config: TrainConfig) -> AdamW:
 
 def _factorize_rosa_layers(net: Mlp, optimizer: AdamW,
                            rng: np.random.Generator) -> None:
-    """One factorize event: merge every layer (the schedule runs only for
-    method rosa, so every layer is factored), take all their SVDs at once
-    on _worker_count() threads, then re-sample each layer in order and
-    reset the moments of its new (a, b).
+    """One factorize event (the schedule runs only for method rosa, so
+    every layer is factored), in groups of _worker_count() layers: take the
+    SVDs of a group's merges at once on as many threads, then re-sample
+    each layer of the group in order and reset the moments of its new
+    (a, b). The event holds one group's merges and factors at a time; a net
+    deeper than one group starts group size - 1 threads per group.
 
-    The SVDs draw nothing from rng, so the draws come in the same order as
-    when each layer is decomposed and re-sampled in turn.
+    The SVDs draw nothing from rng, and factorize's own merge has the bytes
+    of the group's, so the results are those of one layer after another.
     """
-    merged = [layer.adapter.effective_weight() for layer in net.layers]
-    factors = svd_each(merged, _worker_count())
-    for i, (layer, w, layer_factors) in enumerate(zip(net.layers, merged, factors)):
-        layer.adapter.factorize(rng, layer_factors, w)
-        optimizer.reset_moments(i, ("a", "b"))
+    workers = _worker_count()
+    for first in range(0, len(net.layers), workers):
+        group = net.layers[first:first + workers]
+        factors = svd_each([layer.adapter.effective_weight() for layer in group],
+                           workers)
+        for i, layer in enumerate(group, first):
+            layer.adapter.factorize(rng, factors.pop(0))
+            optimizer.reset_moments(i, ("a", "b"))
     net.bump()
 
 
@@ -214,6 +219,8 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
                 )
             sq_sum += loss * cols.size
             optimizer.step(net, backward(net, cache, loss_grad))
+            # So that the next forward pass holds one step's activations.
+            del pred, cache, loss_grad
             global_step += 1
         if (schedule_on and config.factorize_unit == "epochs"
                 and epoch % config.factorize_every == 0):

@@ -2,7 +2,7 @@
 
 One test per shipped guarantee. Each test prints a scoreboard line outside
 pytest's capture, then asserts the details, so a plain run of this file
-shows thirteen PASS/FAIL verdicts with wall times whatever else is going on.
+shows fourteen PASS/FAIL verdicts with wall times whatever else is going on.
 
 The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
 a module fixture, split over one process per CPU; expect about 20 s there
@@ -12,9 +12,12 @@ on two CPUs, everything else is seconds.
 import json
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import rosa.training
 
 from rosa.adapters import (
     SamplingScheme,
@@ -445,4 +448,47 @@ def test_13_trained_path_meets_the_theorem(capsys):
         failures.append(f"took {elapsed:.2f}s, budget 30s")
     scoreboard(capsys, 13, "trained path meets the theorem", elapsed,
                failures)
+    assert not failures, failures
+
+
+def test_14_peak_memory_parity_with_lora(capsys, monkeypatch):
+    # The paper's "without consuming additional memory during runtime" at
+    # the peak: on a 6-layer net a factorize event holds one group of
+    # _worker_count() layers at a time, so rosa's tracemalloc peak over
+    # run_training stays within LoRA's plus, per worker, what one layer's
+    # event holds: its merged m x n matrix, u (m x k), sigma (k), v (n x k)
+    # and the new w_fixed (m x n), k = min(m, n). At 256 x 256 that is
+    # 2,099,200 bytes per worker.
+    t0 = time.perf_counter()
+    failures = []
+    task = generate_synthetic(SyntheticSpec(
+        layer_dims=(256,) * 7, drift_rank=32, n_train=256, n_val=64, seed=0))
+
+    def peak(method):
+        config = TrainConfig(method=method, rank=8, epochs=2, batch_size=64,
+                             seed=0)
+        tracemalloc.start()
+        try:
+            run_training(config, task)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def event_bytes(m, n):
+        k = min(m, n)
+        return 8 * (m * n + m * k + k + n * k + m * n)
+
+    lora = peak("lora")
+    event_layer = max(event_bytes(*layer.adapter.shape)
+                      for layer in task.base.layers)
+    for workers in (1, 2):
+        monkeypatch.setattr(rosa.training, "_worker_count", lambda: workers)
+        rosa_peak = peak("rosa")
+        bound = lora + workers * event_layer
+        if rosa_peak > bound:
+            failures.append(f"{workers} worker(s): rosa peaks at {rosa_peak:,} "
+                            f"bytes, above lora's {lora:,} + {workers} x "
+                            f"{event_layer:,} = {bound:,}")
+    elapsed = time.perf_counter() - t0
+    scoreboard(capsys, 14, "peak memory parity with lora", elapsed, failures)
     assert not failures, failures

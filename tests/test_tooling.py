@@ -9,13 +9,17 @@ perfbench/workloads.py counts greedy rounds by wrapping
 rosa.experiments.rosa_exact_iterate, so a suite that stopped calling it
 there would report no work. Every workload's operations must also match
 perfbench/fingerprint.json, so a changed byte in training or in the SVD
-path fails here before it fails a benchmark run.
+path fails here before it fails a benchmark run. Each workload's setup
+child, which perfbench/run.py times in a fresh interpreter, must start and
+print "ready" from the source tree alone.
 """
 
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -24,7 +28,8 @@ import pytest
 from rosa.network import build_mlp
 from rosa.training import TrainConfig, adapt_network
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name: str):
@@ -98,3 +103,17 @@ def test_workload_matches_fingerprint(name, tmp_path):
     fingerprint = json.loads((PERFBENCH / "fingerprint.json").read_text())
     assert ops == fingerprint[name]
     assert bad == set()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_setup_child_starts_fresh(name, tmp_path):
+    # The environment perfbench/run.py's SetupTimer gives the child.
+    code, argv = WORKLOADS.WORKLOADS[name](seed=0,
+                                           workdir=str(tmp_path)).setup_child()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                           cwd=tmp_path, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "ready\n"

@@ -10,7 +10,7 @@ from rosa.adapters import RosaAdapter
 from rosa.checkpoint import encode_checkpoint
 from rosa.errors import ConfigError, NumericError
 from rosa.linalg import numerical_rank
-from rosa.network import predict
+from rosa.network import forward, predict
 from rosa.synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
 from rosa.training import (
     TrainConfig,
@@ -171,17 +171,42 @@ class TestDriftReference:
             assert np.array_equal(layer.adapter.effective_weight(), w)
 
 
+def traced_peak(config: TrainConfig, task: SyntheticTask):
+    """run_training's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = run_training(config, task)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPeakMemory:
     """A run holds each array once. Its tracemalloc peak stays under what it
     needs at one time: the net and its start snapshot; AdamW's m, v, g and
-    u and one gradient set, each as large as the trainable arrays; and four
-    matrices as large as the largest layer for the drift ranks (the trained
-    layer's merge, the snapshot's merge, their difference and LAPACK
-    workspace). Rosa is left out: its factorize event merges and decomposes
-    every layer at once, and that sets its peak."""
+    u and one gradient set, each as large as the trainable arrays; and the
+    larger of what the drift ranks and what one step hold beside them. The
+    drift ranks hold four matrices as large as the largest layer (the
+    trained layer's merge, the snapshot's merge, their difference and
+    LAPACK workspace). Rosa's factorize event is bounded against LoRA's
+    peak by acceptance guarantee 14."""
 
     SPEC = SyntheticSpec(layer_dims=(256,) * 7, drift_rank=32, n_train=64,
                          n_val=8, seed=0)
+
+    @staticmethod
+    def held(net) -> int:
+        """Bytes of the net, its snapshot, AdamW's vectors and a gradient set."""
+        arrays = sum(arr.nbytes for arr in all_arrays(net))
+        trainable = sum(arr.nbytes for layer in net.layers
+                        for arr in (*layer.adapter.trainable_arrays().values(),
+                                    layer.bias))
+        return 2 * arrays + 5 * trainable
+
+    @staticmethod
+    def largest(net) -> int:
+        return max(8 * m * n for m, n in
+                   (layer.adapter.shape for layer in net.layers))
 
     @pytest.mark.parametrize("method, rank",
                              [("lora", 8), ("ia3", None), ("ft", None)])
@@ -189,20 +214,35 @@ class TestPeakMemory:
         task = generate_synthetic(self.SPEC)
         config = TrainConfig(method=method, rank=rank, epochs=2, batch_size=8,
                              seed=0)
-        tracemalloc.start()
-        try:
-            result = run_training(config, task)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(config, task)
         net = result.initial_net
-        held = sum(arr.nbytes for arr in all_arrays(net))
-        trainable = sum(arr.nbytes for layer in net.layers
-                        for arr in (*layer.adapter.trainable_arrays().values(),
-                                    layer.bias))
-        largest = max(8 * m * n for m, n in
-                      (layer.adapter.shape for layer in net.layers))
-        assert peak <= 2 * held + 5 * trainable + 4 * largest
+        assert peak <= self.held(net) + 4 * self.largest(net)
+
+    @pytest.mark.parametrize("method, rank", [("lora", 8), ("ia3", None)])
+    def test_peak_holds_one_step_of_activations(self, method, rank):
+        """At batch 64 one step outweighs the drift ranks. A step holds one
+        forward cache (every array its records keep), the batch's inputs
+        and targets, and seven arrays as large as a layer's output: the
+        loss gradient and backward's incoming gradient, dz, its mask (a
+        bool array, counted at full size), the input gradient's two
+        products and their sum. A run that keeps the last step's cache
+        while the next forward builds its own holds two. ft is left out:
+        its AdamW vectors, each as large as its weights, set its peak."""
+        task = generate_synthetic(SyntheticSpec(
+            layer_dims=(256,) * 7, drift_rank=32, n_train=256, n_val=64,
+            seed=0))
+        batch = 64
+        config = TrainConfig(method=method, rank=rank, epochs=2,
+                             batch_size=batch, seed=0)
+        result, peak = traced_peak(config, task)
+        net = result.initial_net
+        xb, yb = task.x_train[:, :batch], task.y_train[:, :batch]
+        _, cache = forward(net, xb)
+        step_arrays = {id(arr): arr for arr in (xb, yb, *(
+            arr for rec in cache.records for arr in rec.values()))}
+        output = 8 * batch * max(max(layer.adapter.shape) for layer in net.layers)
+        step = sum(arr.nbytes for arr in step_arrays.values()) + 7 * output
+        assert peak <= self.held(net) + max(4 * self.largest(net), step)
 
 
 class TestRunTraining:
@@ -387,10 +427,10 @@ class TestDriftRankEpochs:
 
 class TestThreadedFactorize:
     @staticmethod
-    def run_files(tmp_path, name):
+    def run_files(tmp_path, name, task=None):
         config = quick(scheme="random", factorize_unit="steps",
                        factorize_every=1, epochs=3)
-        result = run_training(config, tiny_task())
+        result = run_training(config, task or tiny_task())
         write_metrics_csv(result.records, tmp_path / f"{name}.csv")
         write_summary_json(result.summary, tmp_path / f"{name}.json")
         return [(tmp_path / f"{name}.csv").read_bytes(),
@@ -416,3 +456,31 @@ class TestThreadedFactorize:
         # Two layers: one extra thread per event, 3 epochs of 2 steps.
         assert len(started) == 6
         assert threaded == serial
+
+    def test_deep_net_same_files_at_one_two_and_three_workers(self, tmp_path,
+                                                              monkeypatch):
+        """Five layers go through the event in groups of _worker_count():
+        at 2 workers in groups of 2, 2 and 1, at 3 in groups of 3 and 2.
+        Each group starts its size - 1 threads, so a net deeper than one
+        group starts more threads per event than workers - 1: the one cost
+        of holding one group's merges and factors at a time."""
+        task = generate_synthetic(SyntheticSpec(
+            layer_dims=(6, 8, 8, 8, 8, 4), drift_rank=2, n_train=32, n_val=16,
+            seed=0))
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        files = []
+        # Threads per event: the sum over groups of group size - 1.
+        for workers, per_event in ((1, 0), (2, 1 + 1), (3, 2 + 1)):
+            monkeypatch.setattr(rosa.training, "_worker_count", lambda: workers)
+            started.clear()
+            files.append(self.run_files(tmp_path, f"w{workers}", task))
+            # 3 epochs of 2 steps, an event before each.
+            assert len(started) == 6 * per_event
+        assert files == [files[0]] * 3

@@ -30,11 +30,16 @@ Each problem decomposes its residual R @ (w_ls - w0) once with svd
 (RegressionProblem.residual_factors): the residual spectrum, the
 closed-form optimum at every rank and the first greedy round all read it.
 A greedy round forms R (w_ls - w) once for its new weight w: its squared
-norm prices the round, and the next round decomposes it. The off-range
-noisy variant of a problem projects its draw off the range of x as
-z - Q (Q^T z) and shares its base's factors and residual decomposition,
-since the noise moves none of them. least_squares, the general lstsq
-route, is kept for callers outside the suite.
+norm prices the round, and the next round takes its top-r right
+singular subspace from a p x p Gram eigendecomposition
+(linalg.leading_right_vectors), not a full svd: off by about
+eps * sigma_1^2 / (sigma_r^2 - sigma_r+1^2), blind below about
+1e-8 * sigma_1, where under 1e-16 of the squared error lies, far below
+the suite's 1e-12 convergence test. The off-range noisy variant of a
+problem projects its draw off the range of x as z - Q (Q^T z) and shares
+its base's factors and residual decomposition, since the noise moves none
+of them. least_squares, the general lstsq route, is kept for callers
+outside the suite.
 
 These functions are pure: they never mutate their arguments and two calls
 with identical inputs return identical arrays.
@@ -50,7 +55,8 @@ import numpy as np
 
 from .errors import (InvalidInputError, NumericError, RankTooLargeError,
                      ShapeError, SingularMatrixError)
-from .linalg import Array, SvdFactors, as_matrix, singular_values, svd
+from .linalg import (Array, SvdFactors, as_matrix, leading_right_vectors,
+                     singular_values, svd)
 
 # Singular values of the residual matrix below this relative threshold are
 # treated as exact zeros when predicting how many greedy rounds remain.
@@ -294,10 +300,15 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
 
     Round t re-roots the problem at the current weight and applies the
     closed-form rank-`rank` solve from there, so each round removes the
-    `rank` strongest remaining singular directions of the residual. Errors
-    are non-increasing; a violation beyond roundoff, or a non-finite
-    error, raises NumericError. The trace stops after max_steps rounds
-    regardless of convergence.
+    `rank` strongest remaining singular directions of the residual. Round
+    0 reads the problem's residual svd; each later round takes the top
+    `rank` right singular subspace of its own residual R (w_ls - w) with
+    leading_right_vectors, off by about
+    eps * sigma_1^2 / (sigma_rank^2 - sigma_rank+1^2) and blind to
+    directions below about 1e-8 * sigma_1 (under 1e-16 of the squared
+    error). Errors are non-increasing; a violation beyond roundoff, or a
+    non-finite error, raises NumericError. The trace stops after
+    max_steps rounds regardless of convergence.
     """
     _check_correction_rank(problem, rank)
     if max_steps < 0:
@@ -310,11 +321,10 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     # w starts at w0, so round 0 reads the problem's residual decomposition.
     # gap = R (w_ls - w) prices each round as data_error would (its sign
     # flip is exact) and is the next round's residual.
-    v = problem.residual_factors.v
+    v_r = problem.residual_factors.v[:, :rank]
     for step in range(max_steps):
         if step:
-            v = svd(gap).v
-        v_r = v[:, :rank]
+            v_r = leading_right_vectors(gap, rank)
         w = w + ((problem.w_ls - w) @ v_r) @ v_r.T
         gap = problem.x_r @ (problem.w_ls - w)
         err = _squared_norm(gap) + problem.irreducible

@@ -260,6 +260,34 @@ class TestGreedyIteration:
         with pytest.raises(NumericError, match="not finite"):
             rosa_exact_iterate(p, rank=2, max_steps=max_steps)
 
+    def test_non_finite_basis_in_later_round_raises(self, monkeypatch):
+        # Round 0 reads the problem's svd; a NaN basis from a later round's
+        # leading_right_vectors must trip the same guard.
+        monkeypatch.setattr(rosa.exact, "leading_right_vectors",
+                            lambda w, rank: np.full((w.shape[1], rank), np.nan))
+        p = random_instance(10, 4, 3, seed=26)
+        with pytest.raises(NumericError, match="not finite after round 2"):
+            rosa_exact_iterate(p, rank=1, max_steps=3)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_converges_at_predicted_round_over_wide_gains(self, rank):
+        # Planted gains over four orders of magnitude: the Gram route must
+        # still resolve the weakest direction and finish on schedule.
+        rng = rng_for(27)
+        n, d, p, k = 60, 12, 8, 5
+        x = rng.standard_normal((n, d))
+        w0 = rng.standard_normal((d, p))
+        qu, _ = np.linalg.qr(rng.standard_normal((d, k)))
+        qv, _ = np.linalg.qr(rng.standard_normal((p, k)))
+        move = (qu * np.geomspace(1.0, 1e-4, k)) @ qv.T
+        prob = RegressionProblem(x=x, y=x @ (w0 + move), w0=w0)
+        t_pred = predicted_rounds(prob, rank)
+        assert t_pred == math.ceil(k / rank)
+        trace = rosa_exact_iterate(prob, rank, t_pred + 2)
+        start = trace.errors[0]
+        assert trace.errors[t_pred - 1] > 1e-10 * start
+        assert all(e <= 1e-12 * start for e in trace.errors[t_pred:])
+
     def test_builds_no_problem(self, monkeypatch):
         p = realizable_instance(22, 7, 5, residual_rank=4, seed=19)
         built = []
@@ -471,15 +499,16 @@ class TestNoiseInjection:
 
 
 class TestDecompositionCount:
-    """svd and singular_values calls, counted where rosa.exact looks them up."""
+    """svd, leading_right_vectors and singular_values calls, counted where
+    rosa.exact looks them up."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        for name in ("svd", "singular_values"):
-            def counting(w, fn=getattr(rosa.exact, name), name=name):
+        for name in ("svd", "leading_right_vectors", "singular_values"):
+            def counting(*args, fn=getattr(rosa.exact, name), name=name):
                 calls.append(name)
-                return fn(w)
+                return fn(*args)
 
             monkeypatch.setattr(rosa.exact, name, counting)
         return calls
@@ -494,9 +523,9 @@ class TestDecompositionCount:
             post_init(self)
 
         def counting_iterate(problem, rank, max_steps):
-            before = calls.count("svd")
+            before = len(calls)
             trace = iterate(problem, rank, max_steps)
-            traces.append((calls.count("svd") - before, len(trace.errors) - 1))
+            traces.append((calls[before:], len(trace.errors) - 1))
             return trace
 
         monkeypatch.setattr(RegressionProblem, "__post_init__", counting_post_init)
@@ -507,11 +536,14 @@ class TestDecompositionCount:
         assert len(built) == 1
         assert len(traces) == len(report["cases"]) + 1
         # Round 0 of every trace reads its problem's decomposition; each
-        # later round decomposes once.
-        assert all(during == rounds - 1 for during, rounds in traces)
-        # One residual decomposition for the base problem, none for the
-        # noisy copy, which shares it.
-        assert calls.count("svd") == 1 + sum(r - 1 for _, r in traces)
+        # later round takes one leading_right_vectors and nothing else.
+        assert all(during == ["leading_right_vectors"] * (rounds - 1)
+                   for during, rounds in traces)
+        # One residual svd for the base problem, none for the noisy copy,
+        # which shares it.
+        assert calls.count("svd") == 1
+        assert calls.count("leading_right_vectors") == sum(
+            r - 1 for _, r in traces)
         # Singular values only for the rank check at construction.
         assert calls.count("singular_values") == len(built)
 
@@ -574,7 +606,8 @@ class TestRightFactorRoute:
         assert np.allclose(prob.residual_sigma, sigma[:budget], rtol=1e-12,
                            atol=1e-12 * sigma[0])
 
-    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+    @pytest.mark.parametrize("shape", [*SHAPES.values(), (300, 128, 64)],
+                             ids=[*SHAPES, "bench"])
     def test_greedy_matches_direct_route(self, shape):
         n, d, p = shape
         budget = min(d, p)

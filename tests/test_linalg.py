@@ -9,6 +9,7 @@ from rosa.errors import InvalidInputError, ShapeError, SingularMatrixError
 from rosa.linalg import (
     SamplingScheme,
     as_matrix,
+    leading_right_vectors,
     numerical_rank,
     sample_indices,
     singular_values,
@@ -239,6 +240,62 @@ class TestSvdEach:
         with pytest.raises(KeyboardInterrupt):
             svd_each([marked(0.0), marked(1.0), marked(2.0)], 3)
         assert threading.active_count() == start
+
+
+def planted(shape, sigma, seed: int) -> np.ndarray:
+    """u diag(sigma) v.T with random orthonormal u and v; len(sigma) may be
+    below min(shape), giving an exact-zero tail."""
+    rng = rng_for(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(sigma))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(sigma))))
+    return (u * sigma) @ v.T
+
+
+LRV_CASES = {
+    "tall": ((12, 5), np.geomspace(3.0, 1.0, 5)),
+    "square": ((6, 6), np.geomspace(3.0, 1.0, 6)),
+    "wide": ((4, 9), np.geomspace(3.0, 1.0, 4)),
+    "tall_zero_tail": ((12, 6), np.geomspace(3.0, 1.0, 3)),
+    "wide_zero_tail": ((5, 9), np.geomspace(3.0, 1.0, 2)),
+}
+
+
+class TestLeadingRightVectors:
+    @pytest.mark.parametrize("case", LRV_CASES)
+    def test_projector_matches_svd(self, case):
+        shape, sigma = LRV_CASES[case]
+        w = planted(shape, sigma, seed=sum(shape))
+        _, _, vt = np.linalg.svd(w, full_matrices=False)
+        for rank in range(1, len(sigma) + 1):
+            basis = leading_right_vectors(w, rank)
+            assert basis.shape == (shape[1], rank)
+            assert np.allclose(basis.T @ basis, np.eye(rank), rtol=0.0,
+                               atol=1e-12)
+            assert np.allclose(basis @ basis.T, vt[:rank].T @ vt[:rank],
+                               rtol=0.0, atol=1e-10)
+
+    def test_repeatable_bitwise_and_input_untouched(self):
+        w = rng_for(12).standard_normal((20, 8))
+        before = w.copy()
+        got = leading_right_vectors(w, 3)
+        assert np.array_equal(w, before)
+        assert np.array_equal(got, leading_right_vectors(w.copy(), 3))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.zeros((0, 3)),
+        np.array([1.0, 2.0]),
+    ], ids=["nan", "inf", "empty", "vector"])
+    def test_rejects_bad_input(self, bad):
+        with pytest.raises(InvalidInputError):
+            leading_right_vectors(bad, 1)
+
+    @pytest.mark.parametrize("shape, rank", [((5, 3), 0), ((5, 3), 4),
+                                             ((3, 5), 4), ((4, 4), -1)])
+    def test_rejects_rank_outside_budget(self, shape, rank):
+        with pytest.raises(InvalidInputError, match="rank"):
+            leading_right_vectors(np.ones(shape), rank)
 
 
 class TestSingularValuesAgainstJacobi:

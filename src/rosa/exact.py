@@ -17,14 +17,14 @@ singular directions per round until e is exhausted.
 
 x = QR with orthonormal Q gives ||x m||_F = ||R m||_F for every m, so x @ m
 and the d x p matrix R @ m share singular values and right singular
-vectors. Each x is factored once: construction takes Q and R from one
-reduced QR and checks the column rank from the singular values of R, and
-each problem solves least squares once, as w_ls = R^-1 Q^T y
-(RegressionProblem.x_q, .x_r, .w_ls). Every spectrum and every greedy
-round works on R @ m instead of the n x p matrix x @ m, and so does every
-data error: x @ w_ls - y is orthogonal to the range of x, so
-||x w - y||_F^2 = ||R (w - w_ls)||_F^2 plus the irreducible error, which
-each problem computes once.
+vectors. Each x is factored once: construction takes R and the thin Q
+from geqrf's reflectors and one WY product (linalg.thin_qr) and checks
+the column rank from the singular values of R, and each problem solves
+least squares once, as w_ls = R^-1 Q^T y (RegressionProblem.x_q, .x_r,
+.w_ls). Every spectrum and every greedy round works on R @ m instead of
+the n x p matrix x @ m, and so does every data error: x @ w_ls - y is
+orthogonal to the range of x, so ||x w - y||_F^2 = ||R (w - w_ls)||_F^2
+plus the irreducible error, which each problem computes once.
 
 Each problem decomposes its residual R @ (w_ls - w0) once with svd
 (RegressionProblem.residual_factors): the residual spectrum, the
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import (InvalidInputError, NumericError, RankTooLargeError,
                      ShapeError, SingularMatrixError)
 from .linalg import (Array, SvdFactors, as_matrix, leading_right_vectors,
-                     singular_values, svd)
+                     singular_values, svd, thin_qr)
 
 # Singular values of the residual matrix below this relative threshold are
 # treated as exact zeros when predicting how many greedy rounds remain.
@@ -67,12 +67,13 @@ RESIDUAL_RANK_TOL = 1e-9
 class RegressionProblem:
     """One linear adaptation instance: minimize ||x (w0 + a b) - y||_F^2.
 
-    x must have full column rank. Construction factors x = QR (x_q is the
-    orthonormal n x d factor, x_r the upper-triangular d x d one, both
-    read-only) and checks the rank on the singular values of R, which are
-    those of x; a violation raises SingularMatrixError naming the offending
-    singular value. The cached values below assume x, y and w0 are not
-    mutated after construction.
+    x must have full column rank. Construction factors x = QR from geqrf's
+    reflectors and one WY product (linalg.thin_qr; x_q is the orthonormal
+    n x d factor, x_r the upper-triangular d x d one, both read-only) and
+    checks the rank on the singular values of R, which are those of x; a
+    violation raises SingularMatrixError naming the offending singular
+    value. The cached values below assume x, y and w0 are not mutated
+    after construction.
     """
 
     x: Array
@@ -98,7 +99,7 @@ class RegressionProblem:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w0", w0)
-        q, r = np.linalg.qr(x, mode="reduced")
+        q, r = thin_qr(x)
         object.__setattr__(self, "x_q", _read_only(q))
         object.__setattr__(self, "x_r", _read_only(r))
         s = singular_values(r)
@@ -381,9 +382,10 @@ def with_off_range_noise(problem: RegressionProblem, scale: float,
     problem's own orthonormal factor. The copy shares the problem's x, w0,
     Q and R factors, least-squares weight and residual decomposition.
     """
-    if scale < 0.0 or seed < 0:
-        raise InvalidInputError(
-            f"scale and seed must be >= 0, got scale={scale}, seed={seed}")
+    if not 0.0 <= scale < np.inf:
+        raise InvalidInputError(f"scale must be finite and >= 0, got {scale}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(problem.y.shape)
     q = problem.x_q

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels.
 
 Thin deterministic SVD, the leading right singular subspace from a Gram
-eigendecomposition, singular values, numerical rank, and the index-subset
+eigendecomposition, a thin QR whose q is one compact-WY GEMM over
+geqrf's reflectors, singular values, numerical rank, and the index-subset
 sampling used to pick singular directions. All functions take
 and return float64 ndarrays and never mutate their inputs. svd_each takes
 the SVDs of several matrices on concurrent threads, as many as
@@ -90,6 +91,40 @@ def leading_right_vectors(w, rank: int) -> Array:
         raise RankTooLargeError(f"rank {rank} exceeds min{w.shape}")
     # eigh sorts eigenvalues ascending.
     return np.linalg.eigh(w.T @ w)[1][:, :-rank - 1:-1]
+
+
+def thin_qr(x) -> tuple[Array, Array]:
+    """(q, r) of an n x d matrix x with n >= d: q is n x d with orthonormal
+    columns, r is d x d upper triangular, and x = q @ r.
+
+    One LAPACK geqrf (np.linalg.qr's "raw" mode) gives r, bitwise equal to
+    np.linalg.qr(x, mode="r"), and the Householder reflectors
+    I - tau_i v_i v_i^T. Their product is I - V T V^T in compact WY form,
+    with T the d x d upper-triangular factor LAPACK's dlarft builds, so
+    q = [I_d; 0] - V (T V[:d]^T) is one GEMM, where np.linalg.qr's
+    reduced mode runs dorgqr. The reflectors are the same, so q matches
+    the reduced mode's to roundoff, signs included.
+    """
+    x = as_matrix(x, "x")
+    n, d = x.shape
+    if d > n:
+        raise InvalidInputError(f"x must have at least as many rows as "
+                                f"columns, got shape {x.shape}")
+    h, tau = np.linalg.qr(x, mode="raw")
+    # h is d x n; its transpose holds r on and above the diagonal and the
+    # reflectors v_i below it, whose unit diagonal LAPACK leaves implied.
+    v = h.T
+    r = np.triu(v[:d])
+    v[:d] = np.tril(v[:d], -1) + np.eye(d)
+    gram = v.T @ v
+    # dlarft, forward and columnwise; column i is right where tau_i == 0.
+    t = np.zeros((d, d))
+    for i in range(d):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    q = v @ -(t @ v[:d].T)
+    q[:d] += np.eye(d)
+    return q, r
 
 
 def _canonical(u: Array, s: Array, vt: Array) -> SvdFactors:

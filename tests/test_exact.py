@@ -481,6 +481,13 @@ class TestNoiseInjection:
         with pytest.raises(InvalidInputError):
             with_off_range_noise(base, scale=float("inf"), seed=59)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_scale_named(self, scale):
+        base = random_instance(10, 4, 3, seed=58)
+        with pytest.raises(InvalidInputError, match="scale must be finite"):
+            with_off_range_noise(base, scale=scale, seed=59)
+
     def test_least_squares_weight_unmoved(self):
         base = random_instance(14, 5, 4, seed=27)
         noisy = with_off_range_noise(base, scale=2.0, seed=28)
@@ -546,6 +553,29 @@ class TestDecompositionCount:
             r - 1 for _, r in traces)
         # Singular values only for the rank check at construction.
         assert calls.count("singular_values") == len(built)
+
+    def test_theorem_suite_factors_x_once(self, monkeypatch):
+        # x's thin Q comes from thin_qr's WY product, once for the base
+        # problem (the noisy copy shares it), never from the reduced mode.
+        factored, reduced = [], []
+        thin = rosa.exact.thin_qr
+        qr = np.linalg.qr
+
+        def counting_thin_qr(x):
+            factored.append(np.shape(x))
+            return thin(x)
+
+        def counting_qr(a, mode="reduced"):
+            if mode == "reduced":
+                reduced.append(np.shape(a))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(rosa.exact, "thin_qr", counting_thin_qr)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        report = run_theorem_suite()
+        assert report["all_ok"]
+        assert factored == [(40, 16)]
+        assert (40, 16) not in reduced
 
     def test_problem_decomposes_residual_once(self, calls):
         base = realizable_instance(20, 6, 4, residual_rank=3, seed=63)

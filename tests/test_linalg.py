@@ -15,6 +15,7 @@ from rosa.linalg import (
     singular_values,
     svd,
     svd_each,
+    thin_qr,
 )
 
 from oracles import (assert_svd_contract, gram_schmidt_projection,
@@ -296,6 +297,69 @@ class TestLeadingRightVectors:
     def test_rejects_rank_outside_budget(self, shape, rank):
         with pytest.raises(InvalidInputError, match="rank"):
             leading_right_vectors(np.ones(shape), rank)
+
+
+def qr_case(name: str) -> np.ndarray:
+    rng = rng_for(len(name))
+    if name == "tall":
+        return rng.standard_normal((50, 8))
+    if name == "bench":
+        return rng.standard_normal((2000, 128))
+    if name == "square":
+        return rng.standard_normal((7, 7))
+    if name == "one_column":
+        return rng.standard_normal((9, 1))
+    if name == "cond_1e8":
+        return planted((60, 12), np.geomspace(1.0, 1e-8, 12), seed=1)
+    if name == "cond_1e10":
+        return planted((60, 12), np.geomspace(1.0, 1e-10, 12), seed=2)
+    if name == "identity_columns":
+        return np.eye(6)[:, :3]
+    if name == "upper_trapezoidal":
+        return np.triu(rng.standard_normal((7, 4)))
+    raise KeyError(name)
+
+
+QR_CASES = ["tall", "bench", "square", "one_column", "cond_1e8", "cond_1e10",
+            "identity_columns", "upper_trapezoidal"]
+
+
+class TestThinQr:
+    @pytest.mark.parametrize("case", QR_CASES)
+    def test_factors(self, case):
+        x = qr_case(case)
+        n, d = x.shape
+        q, r = thin_qr(x)
+        assert q.shape == (n, d) and r.shape == (d, d)
+        assert np.array_equal(r, np.linalg.qr(x, mode="r"))
+        assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-14
+        assert np.abs(q @ r - x).max() <= 1e-13 * np.abs(x).max()
+        # Same reflectors as the reduced mode, so the same column signs.
+        assert np.abs(q - np.linalg.qr(x, mode="reduced")[0]).max() <= 1e-14
+
+    @pytest.mark.parametrize("case", ["identity_columns", "upper_trapezoidal"])
+    def test_zero_tau_inputs(self, case):
+        x = qr_case(case)
+        _, tau = np.linalg.qr(x, mode="raw")
+        assert np.any(tau == 0.0)
+        q, r = thin_qr(x)
+        assert np.allclose(q @ r, x, rtol=0.0, atol=1e-15)
+
+    def test_input_untouched(self):
+        x = qr_case("tall")
+        before = x.copy()
+        thin_qr(x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("bad", [
+        np.ones((3, 5)),
+        np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]),
+        np.array([[np.inf], [0.0]]),
+        np.array([1.0, 2.0]),
+    ], ids=["wide", "nan", "inf", "vector"])
+    def test_rejects_bad_input(self, bad):
+        with pytest.raises(InvalidInputError):
+            thin_qr(bad)
 
 
 class TestSingularValuesAgainstJacobi:

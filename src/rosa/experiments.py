@@ -3,10 +3,10 @@
 Three families: the exact-solver suite on linear instances, learning-rate
 sweeps of the synthetic teacher-student task, and the residual-spectrum
 report comparing two networks. The training runs of a sweep or grid are
-split over multiprocessing fork processes, one per CPU the process may use
-when BLAS runs one thread per process; the results do not depend on how
-many there are. A caller beside other threads, or a daemonic one such as
-a Pool worker, runs them inline.
+split over multiprocessing fork processes, as many as linalg._worker_count()
+allows, the budget every cell's factorize threads read too; the results
+do not depend on how many there are. A caller beside other threads, or a
+daemonic one such as a Pool worker, runs them inline.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidInputError, NumericError, RosaError
 from .exact import (achieved_error, irreducible_error, lora_error_lower_bound,
                     predicted_rounds, realizable_instance, rosa_exact_iterate,
                     rrr_optimum, with_off_range_noise)
 from .fileio import atomic_open
-# _run_cells looks _worker_count up here, where tests patch it.
-from .linalg import _worker_count, singular_values
+from .linalg import singular_values
 from .network import Mlp
 from .synthetic import SyntheticTask
 from .training import CHOICES, TrainConfig, TrainResult, run_training
@@ -187,13 +187,13 @@ def _run_cells(task: SyntheticTask,
     """Train every config; None marks a run that raised NumericError.
 
     Results come back in input order. The cells are split over
-    _worker_count() processes (at most one per cell): this one plus forked
-    children, or this one alone when the process has other threads or is
-    daemonic. Each run depends only on its config and the task, so the
+    linalg._worker_count() processes (at most one per cell): this one plus
+    forked children, or this one alone when the process has other threads
+    or is daemonic. Each run depends only on its config and the task, so the
     results are the same for any worker count. Any other failure re-raises
     here, the one of the earliest failing cell as in a serial loop.
     """
-    k = min(len(configs), _worker_count())
+    k = min(len(configs), linalg._worker_count())
     # fork, not spawn: a spawned worker would import NumPy again, a good
     # part of a short grid. A child copies only the forking thread, so
     # forking beside other threads could copy a lock that one of them held.

@@ -3,11 +3,11 @@
 Thin deterministic SVD, the leading right singular subspace from a Gram
 eigendecomposition, a thin QR whose q is one compact-WY GEMM over
 geqrf's reflectors, singular values, numerical rank, and the index-subset
-sampling used to pick singular directions. All functions take
-and return float64 ndarrays and never mutate their inputs. svd_each takes
-the SVDs of several matrices on concurrent threads, as many as
-_worker_count() allows, in a grid's worker processes as in a lone run,
-with the same bytes as one svd call per matrix.
+sampling used to pick singular directions. All functions take and return
+float64 ndarrays and never mutate their inputs. svd_each takes the SVDs of
+several matrices on concurrent threads, as many as _worker_count() allows,
+with the same bytes as one svd call per matrix; _worker_count() is the one
+reader of the CPU budget, for these threads and a grid's processes alike.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def svd(w) -> SvdFactors:
     Each column of u is flipped so that its largest-magnitude entry is
     positive; ties pick the lowest row index. The paired column of v flips
     with it, so the product is unchanged. Identical input bytes give
-    identical output bytes.
+    identical output bytes. One matrix through svd_each: no thread starts.
     """
-    return svd_each([w], 1)[0]
+    return svd_each([w])[0]
 
 
 def leading_right_vectors(w, rank: int) -> Array:
@@ -154,8 +154,9 @@ def _worker_count() -> int:
     The CPUs in this process's affinity mask divided by the BLAS threads of
     each, as the first BLAS variable set to a positive ASCII integer says;
     1 without an affinity mask or such a variable. Two workers that each
-    run a BLAS thread per CPU are slower than one. It counts the processes
-    of a grid split and the threads of every factorize event alike.
+    run a BLAS thread per CPU are slower than one. svd_each's threads and
+    a grid's processes both come from a call here, so one patch of
+    rosa.linalg._worker_count sets the budget of both.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -168,20 +169,17 @@ def _worker_count() -> int:
     return 1
 
 
-def svd_each(ws, workers: int) -> list[SvdFactors]:
-    """[svd(w) for w in ws], byte for byte, on up to `workers` threads.
+def svd_each(ws) -> list[SvdFactors]:
+    """[svd(w) for w in ws], byte for byte, on up to _worker_count() threads.
 
-    The calling thread and min(len(ws), workers) - 1 threads started here
-    take the matrices round-robin; np.linalg.svd releases the GIL while
-    LAPACK runs, so the decompositions overlap. The extra threads run only
-    np.linalg.svd, and every one is joined before this returns or raises.
-    When a decomposition fails, the error of the first failing matrix in
-    input order is raised.
+    The calling thread and min(len(ws), _worker_count()) - 1 threads
+    started here take the matrices round-robin; np.linalg.svd releases the
+    GIL while LAPACK runs. Zero or one matrix reads no budget. The extra
+    threads run only np.linalg.svd and are joined before this returns or
+    raises. A failure raises the first failing matrix's error, in input order.
     """
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     mats = [as_matrix(w, "w") for w in ws]
-    k = max(1, min(len(mats), workers))
+    k = min(len(mats), _worker_count()) if len(mats) > 1 else 1
     raw: list = [None] * len(mats)
     errors: list = [None] * len(mats)
 

@@ -5,9 +5,9 @@ from the GradientSet produced by backward, and bumps the network version
 so stale caches are rejected. It keeps its moments for the whole network
 in one flat vector each. The first step fixes their layout from the
 network: each layer's trainable arrays in protocol order, then every bias.
-Each step checks the network and its gradients against that layout and
-gathers them in one pass. A key's slice and step count are reset when
-that layer's trainable subspace is re-sampled.
+Each step takes that network only, checks it and its gradients against
+that layout and gathers them in one pass. A key's slice and step count
+are reset when that layer's trainable subspace is re-sampled.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ class _FlatState:
 
     layout holds (layer, name, shape, slice) per key: every layer's
     trainable arrays in protocol order, then every layer's bias, so the
-    keys a factorize event resets lie next to each other. layers is the
-    network's layer count; t holds each key's step count. g and u are
-    scratch, g for the flat gradient and u for the update; u_views are u's
-    per-key slices shaped like the parameters.
+    keys a factorize event resets lie next to each other. net is the
+    network the layout was fixed from; t holds each key's step count. g and
+    u are scratch, g for the flat gradient and u for the update; u_views
+    are u's per-key slices shaped like the parameters.
     """
 
     layout: tuple
-    layers: int
+    net: Mlp
     t: list
     m: Array
     v: Array
@@ -53,7 +53,7 @@ class _FlatState:
             start += p.size
         u = np.zeros(start)
         return cls(
-            layout=tuple(layout), layers=len(net.layers), t=[0] * len(layout),
+            layout=tuple(layout), net=net, t=[0] * len(layout),
             m=np.zeros(start), v=np.zeros(start), g=np.zeros(start), u=u,
             u_views=[u[sl].reshape(shape) for _, _, shape, sl in layout],
         )
@@ -70,9 +70,9 @@ class AdamW:
 
     The first step fixes the layout of one flat moment pair over every
     trainable array of the network; each array keeps its own step count for
-    the bias correction. One optimizer serves one network: a step whose
-    network or gradients differ from that layout raises
-    ContractViolationError before anything changes.
+    the bias correction. One optimizer serves one network: a step on any
+    other Mlp, even a copy, or with gradients that differ from that layout
+    raises ContractViolationError before anything changes.
     """
 
     learning_rate: float
@@ -99,10 +99,14 @@ class AdamW:
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:
         st = self._flat or _FlatState.allocate(net)
-        if not len(grads.layers) == len(net.layers) == st.layers:
+        if net is not st.net:
+            raise ContractViolationError("one optimizer serves one network: "
+                                         "its layout was fixed from another")
+        layers = st.layout[-1][0] + 1  # the last key is the last layer's bias
+        if not len(grads.layers) == len(net.layers) == layers:
             raise ContractViolationError(
                 f"gradient set covers {len(grads.layers)} layers, network has "
-                f"{len(net.layers)}, optimizer layout has {st.layers}"
+                f"{len(net.layers)}, optimizer layout has {layers}"
             )
         arrays = [{**layer.adapter.trainable_arrays(), "bias": layer.bias}
                   for layer in net.layers]

@@ -14,12 +14,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import linalg
 from .adapters import (full_init, ia3_init, lora_init, matrix_param_count,
                        rosa_init, trainable_reduction)
 from .errors import ConfigError, ContractViolationError, NumericError
 from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
-from .linalg import SamplingScheme, _worker_count, numerical_rank, svd_each
+from .linalg import SamplingScheme, numerical_rank, svd_each
 from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F401
                       mse_loss_and_gradient, mse_loss_gradient, predict)
 from .optim import AdamW
@@ -147,20 +148,25 @@ def make_optimizer(config: TrainConfig) -> AdamW:
 def _factorize_rosa_layers(net: Mlp, optimizer: AdamW,
                            rng: np.random.Generator) -> None:
     """One factorize event (the schedule runs only for method rosa, so
-    every layer is factored), in groups of _worker_count() layers: take the
-    SVDs of a group's merges at once on as many threads, then re-sample
-    each layer of the group in order and reset the moments of its new
-    (a, b). The event holds one group's merges and factors at a time; a net
-    deeper than one group starts group size - 1 threads per group.
+    every layer is factored), in groups of linalg._worker_count() layers:
+    take the SVDs of a group's merges at once on as many threads, then
+    re-sample each layer of the group in order and reset the moments of its
+    new (a, b). The event holds one group's merges and factors at a time; a
+    net deeper than one group starts group size - 1 threads per group. A
+    non-finite merge, left by a diverging step, raises NumericError.
 
     The SVDs draw nothing from rng, and factorize's own merge has the bytes
     of the group's, so the results are those of one layer after another.
     """
-    workers = _worker_count()
+    workers = linalg._worker_count()
     for first in range(0, len(net.layers), workers):
         group = net.layers[first:first + workers]
-        factors = svd_each([layer.adapter.effective_weight() for layer in group],
-                           workers)
+        merges = [layer.adapter.effective_weight() for layer in group]
+        for i, merged in enumerate(merges, first):
+            if not np.isfinite(merged).all():
+                raise NumericError(f"layer {i}'s merged weight became "
+                                   f"non-finite before a factorize event")
+        factors = svd_each(merges)
         for i, layer in enumerate(group, first):
             layer.adapter.factorize(rng, factors.pop(0))
             optimizer.reset_moments(i, ("a", "b"))

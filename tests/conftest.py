@@ -10,7 +10,7 @@ import multiprocessing  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-import rosa.experiments  # noqa: E402
+import rosa.linalg  # noqa: E402
 
 
 @pytest.fixture
@@ -20,8 +20,10 @@ def rng():
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set the worker count the cell runner sees; returns the pids it forks
-    from then on. Every forked child must be reaped by the end of the test.
+    """Set the CPU budget, rosa.linalg._worker_count, which sizes both the
+    grid split and every factorize event's threads; returns the pids the
+    test forks from then on. Every forked child must be reaped by the end
+    of the test.
     """
     forked, every_pid = [], []
     fork = os.fork
@@ -36,7 +38,7 @@ def workers(monkeypatch):
     monkeypatch.setattr(os, "fork", recording_fork)
 
     def use(count):
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: count)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: count)
         forked.clear()
         return forked
 

@@ -2,7 +2,7 @@
 
 One test per shipped guarantee. Each test prints a scoreboard line outside
 pytest's capture, then asserts the details, so a plain run of this file
-shows fourteen PASS/FAIL verdicts with wall times whatever else is going on.
+shows fifteen PASS/FAIL verdicts with wall times whatever else is going on.
 
 The synthetic benchmark (tests 03, 06, 07, 11) trains a 28-run grid once in
 a module fixture, split over one process per CPU; expect about 20 s there
@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import rosa.training
+import rosa.linalg
 
 from rosa.adapters import (
     SamplingScheme,
@@ -28,6 +28,7 @@ from rosa.adapters import (
 )
 from rosa.cli import main
 from rosa.checkpoint import decode_checkpoint, encode_checkpoint
+from rosa.errors import RosaError
 from rosa.exact import (
     achieved_error,
     irreducible_error,
@@ -35,7 +36,7 @@ from rosa.exact import (
     realizable_instance,
     rrr_optimum,
 )
-from rosa.experiments import run_method_comparison
+from rosa.experiments import run_method_comparison, sweep_learning_rates
 from rosa.network import (
     Activation,
     backward,
@@ -482,7 +483,7 @@ def test_14_peak_memory_parity_with_lora(capsys, monkeypatch):
     event_layer = max(event_bytes(*layer.adapter.shape)
                       for layer in task.base.layers)
     for workers in (1, 2):
-        monkeypatch.setattr(rosa.training, "_worker_count", lambda: workers)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
         rosa_peak = peak("rosa")
         bound = lora + workers * event_layer
         if rosa_peak > bound:
@@ -491,4 +492,44 @@ def test_14_peak_memory_parity_with_lora(capsys, monkeypatch):
                             f"{event_layer:,} = {bound:,}")
     elapsed = time.perf_counter() - t0
     scoreboard(capsys, 14, "peak memory parity with lora", elapsed, failures)
+    assert not failures, failures
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_15_diverging_rate_keeps_the_sweep(capsys):
+    # A diverging learning rate cannot abort a sweep: for ft, lora, ia3 and
+    # rosa with epoch and with step events, a sweep over (2e-3, 1e300)
+    # records 1e300 as diverged with no losses, and its 2e-3 row is, byte
+    # for byte, that of a sweep over 2e-3 alone.
+    t0 = time.perf_counter()
+    failures = []
+    task = generate_synthetic(SyntheticSpec(
+        layer_dims=(8, 8, 8), drift_rank=2, n_train=32, n_val=8, seed=0))
+    cases = {
+        "ft": dict(method="ft"),
+        "lora": dict(method="lora", rank=2),
+        "ia3": dict(method="ia3"),
+        "rosa, epoch events": dict(method="rosa", rank=2),
+        "rosa, step events": dict(method="rosa", rank=2,
+                                  factorize_unit="steps"),
+    }
+    diverged = {"lr": 1e300, "diverged": True, "final_val_loss": None,
+                "best_val_loss": None, "final_train_loss": None}
+    for name, fields in cases.items():
+        base = TrainConfig(epochs=3, batch_size=8, seed=0, **fields)
+        try:
+            rows = sweep_learning_rates(task, base, (2e-3, 1e300))["lr_rows"]
+        except RosaError as exc:
+            failures.append(f"{name}: the sweep raised "
+                            f"{type(exc).__name__}: {exc}")
+            continue
+        alone = sweep_learning_rates(task, base, (2e-3,))["lr_rows"][0]
+        if rows[1] != diverged:
+            failures.append(f"{name}: the 1e300 row is {rows[1]}")
+        if json.dumps(rows[0]) != json.dumps(alone):
+            failures.append(f"{name}: the 2e-3 row {rows[0]} differs from "
+                            f"a sweep of 2e-3 alone, {alone}")
+    elapsed = time.perf_counter() - t0
+    scoreboard(capsys, 15, "a diverging rate keeps the sweep", elapsed,
+               failures)
     assert not failures, failures

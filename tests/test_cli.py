@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import rosa.cli
 import rosa.experiments
+import rosa.linalg
 from rosa.adapters import full_init
 from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.cli import main
@@ -197,7 +198,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(rosa.cli, "run_training", must_not_run)
         monkeypatch.setattr(rosa.experiments, "run_training", must_not_run)
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 1)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 1)
         config = {"data": TINY_DATA}
         if command == "train":
             config["method"] = "ft"
@@ -231,6 +232,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
+
+    def test_rosa_divergence_at_an_event_is_3(self, tmp_path, capsys):
+        # With step events the diverging step's merge reaches the next
+        # factorize event; that is a divergence (3), not a bad config (2).
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"batch_size": 4, "data": {
+            "layer_dims": [8, 8], "drift_rank": 2, "n_train": 16,
+            "n_val": 4}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", str(path),
+                         "--out", str(tmp_path / "o"), "--method", "rosa",
+                         "--rank", "2", "--epochs", "3",
+                         "--factorize-unit", "steps", "--lr", "1e300"])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert "merged weight became non-finite" in err[0]
 
     def test_corrupt_checkpoint_is_4(self, tmp_path):
         bad = tmp_path / "bad.rsa1"
@@ -466,7 +486,7 @@ class TestGrids:
             return real(config, task)
 
         monkeypatch.setattr(rosa.experiments, "run_training", recording)
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 1)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 1)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))
         assert main([command, "--config", str(cfg), RANK_FLAG[command], "2",
@@ -530,7 +550,7 @@ class TestGrids:
             return real(config, task)
 
         monkeypatch.setattr(rosa.experiments, "run_training", dying)
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 2)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 2)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))
         code = main(["schemes", "--config", str(cfg), "--rank", "2",
@@ -548,7 +568,7 @@ class TestGrids:
             os._exit(1)
 
         monkeypatch.setattr(rosa.experiments, "_child", cut_off)
-        monkeypatch.setattr(rosa.experiments, "_worker_count", lambda: 2)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 2)
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"data": TINY_DATA}))
         code = main(["schemes", "--config", str(cfg), "--rank", "2",

@@ -164,6 +164,20 @@ class TestLrSweep:
             assert [row["diverged"] for row in cell["lr_rows"]] == [True, False]
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rosa_step_events_diverged_row(self):
+        # No patched run: the 1e300 run's next factorize event meets a
+        # non-finite merge, which is a divergence like a non-finite loss.
+        task = generate_synthetic(SyntheticSpec(
+            layer_dims=(8, 8, 8), drift_rank=2, n_train=32, n_val=8, seed=0))
+        base = TrainConfig(method="rosa", rank=2, epochs=3, batch_size=8,
+                           factorize_unit="steps")
+        sweep = sweep_learning_rates(task, base, (2e-3, 1e300))
+        assert [row["diverged"] for row in sweep["lr_rows"]] == [False, True]
+        assert sweep["lr_rows"][1]["final_val_loss"] is None
+        assert sweep["best_lr"] == 2e-3
+
+
 def sweep_rows(task, base, lrs):
     """The lr_rows of a sweep; a Pool worker runs it."""
     return sweep_learning_rates(task, base, lrs)["lr_rows"]
@@ -303,6 +317,7 @@ class TestWorkerCount:
         events = lone.summary["factorize_events"]
         assert events == 2
         assert len(started) == events
+        assert rosa.linalg._worker_count() == 4
         workers(1)
         serial = sweep_rows(task, base, self.LRS)
         started.clear()
@@ -312,7 +327,27 @@ class TestWorkerCount:
         # This process runs rates 0 and 2 of the four, the child 1 and 3.
         assert len(started) == 2 * events
         assert sweep["lr_rows"] == serial
-        assert rosa.linalg._worker_count() == 4
+
+    def test_one_worker_budget_starts_no_thread(self, workers, monkeypatch):
+        # One setting: workers(1) makes the grid serial and every factorize
+        # event single-threaded, though the CPUs here would allow 4.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        task = generate_synthetic(SMALL)
+        base = TrainConfig(method="rosa", rank=2, epochs=2, batch_size=16)
+        forked = workers(1)
+        sweep = sweep_learning_rates(task, base, self.LRS)
+        assert sweep["result"].summary["factorize_events"] == 2
+        assert forked == []
+        assert started == []
 
     @pytest.mark.parametrize("env, per_process", [
         ({}, None),
@@ -334,7 +369,7 @@ class TestWorkerCount:
             monkeypatch.setenv(var, value)
         cpus = len(os.sched_getaffinity(0))
         expected = 1 if per_process is None else max(1, cpus // per_process)
-        assert rosa.experiments._worker_count() == expected
+        assert rosa.linalg._worker_count() == expected
 
 
 class TestWorkerFailures:

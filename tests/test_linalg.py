@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rosa.linalg
 from rosa.errors import InvalidInputError, ShapeError, SingularMatrixError
 from rosa.linalg import (
     SamplingScheme,
@@ -158,21 +159,23 @@ class TestSvdEach:
     ]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_bytes_match_svd(self, workers):
-        got = svd_each(self.MATRICES, workers)
+    def test_bytes_match_svd(self, monkeypatch, workers):
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
+        got = svd_each(self.MATRICES)
         assert len(got) == len(self.MATRICES)
         for factors, w in zip(got, self.MATRICES):
             assert factors_equal(factors, svd(w))
 
-    def test_many_threads_fast_switching(self):
+    def test_many_threads_fast_switching(self, monkeypatch):
         # More threads than cores, switching as often as the interpreter
         # allows: each slot of the result must hold its own matrix's factors.
         ws = [rng_for(40 + i).standard_normal((6, 4)) for i in range(48)]
         want = [svd(w) for w in ws]
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = svd_each(ws, 8)
+            got = svd_each(ws)
         finally:
             sys.setswitchinterval(interval)
         assert all(factors_equal(g, w) for g, w in zip(got, want))
@@ -191,19 +194,18 @@ class TestSvdEach:
             return real(w, full_matrices=full_matrices)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
         start = threading.active_count()
-        got = svd_each(self.MATRICES[:count] * 2, workers)
+        got = svd_each(self.MATRICES[:count] * 2)
         assert len(got) == 2 * count
         assert len(callers) <= min(2 * count, workers)
         if workers == 1:
             assert callers <= {threading.get_ident()}
         assert threading.active_count() == start
 
-    def test_rejects_bad_input_and_worker_count(self):
+    def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
-            svd_each([np.ones((2, 2)), np.array([[np.nan]])], 2)
-        with pytest.raises(InvalidInputError):
-            svd_each([np.ones((2, 2))], 0)
+            svd_each([np.ones((2, 2)), np.array([[np.nan]])])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_error_of_first_failing_matrix_reraised(self, monkeypatch, workers):
@@ -215,12 +217,13 @@ class TestSvdEach:
             return real(w, full_matrices=full_matrices)
 
         monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
         start = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match="matrix 1 failed"):
-            svd_each([marked(0.0), marked(1.0), marked(3.0)], workers)
+            svd_each([marked(0.0), marked(1.0), marked(3.0)])
         assert threading.active_count() == start
         with pytest.raises(np.linalg.LinAlgError, match="matrix 1 failed"):
-            svd_each([marked(0.0), marked(1.0), marked(2.0)], workers)
+            svd_each([marked(0.0), marked(1.0), marked(2.0)])
         assert threading.active_count() == start
 
     def test_interrupt_joins_threads(self, monkeypatch):
@@ -237,10 +240,36 @@ class TestSvdEach:
             return real(w, full_matrices=full_matrices)
 
         monkeypatch.setattr(np.linalg, "svd", interrupting)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 3)
         start = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            svd_each([marked(0.0), marked(1.0), marked(2.0)], 3)
+            svd_each([marked(0.0), marked(1.0), marked(2.0)])
         assert threading.active_count() == start
+
+    def test_no_budget_read_and_no_thread_below_two_matrices(self,
+                                                             monkeypatch):
+        # svd is svd_each of one matrix; neither it nor svd_each of zero or
+        # one matrix reads the budget or starts a thread, even at 3.
+        reads, started = [], []
+        start = threading.Thread.start
+
+        def budget():
+            reads.append(3)
+            return 3
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(rosa.linalg, "_worker_count", budget)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        w = self.MATRICES[0]
+        assert factors_equal(svd(w), svd_each([w])[0])
+        assert svd_each([]) == []
+        assert reads == [] and started == []
+        # Two matrices read the budget once and start one thread.
+        svd_each([w, w])
+        assert len(reads) == 1 and len(started) == 1
 
 
 def planted(shape, sigma, seed: int) -> np.ndarray:
@@ -515,13 +544,16 @@ CONTRACT_SHAPES = [(128, 64), (64, 128), (128, 128), (9, 4), (3, 8), (1, 5)]
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2])
-def test_svd_contract(workers):
+def test_svd_contract(monkeypatch, workers):
     # workers None is svd itself, one matrix at a time.
     ws = [rng_for(50 + i).standard_normal(shape)
           for i, shape in enumerate(CONTRACT_SHAPES)]
     ws += [np.eye(4), np.zeros((3, 2)), np.ones((4, 6))]
-    got = ([svd(w) for w in ws] if workers is None
-           else svd_each(ws, workers))
+    if workers is None:
+        got = [svd(w) for w in ws]
+    else:
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
+        got = svd_each(ws)
     for factors, w in zip(got, ws):
         assert_svd_contract(factors, w)
 

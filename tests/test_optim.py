@@ -311,6 +311,7 @@ NETWORK_CASES = {
     "other_shapes": lambda net: adapt_network(
         build_mlp([6, 8, 5], np.random.default_rng(0)),
         TrainConfig(method="rosa", rank=3, epochs=1), np.random.default_rng(0)),
+    "copy": lambda net: net.copy(),
 }
 
 

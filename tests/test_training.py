@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rosa.linalg
 import rosa.training
 from rosa.adapters import RosaAdapter
 from rosa.checkpoint import encode_checkpoint
@@ -311,6 +312,21 @@ class TestRunTraining:
             run_training(quick(method="ft", rank=None, lr=1e308, epochs=4),
                          tiny_task())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("unit, batch_size", [("steps", 16),
+                                                  ("epochs", 32)])
+    def test_rosa_divergence_at_an_event_raises(self, unit, batch_size):
+        # The first step, from a finite loss, moves a and b to about 1e300,
+        # so the next factorize event's merge w_fixed + a b overflows: the
+        # second step's with step events, the epoch's end when an epoch is
+        # one step.
+        config = quick(lr=1e300, epochs=3, factorize_unit=unit,
+                       batch_size=batch_size)
+        with pytest.raises(NumericError,
+                           match=r"layer \d+'s merged weight became "
+                                 r"non-finite before a factorize event"):
+            run_training(config, tiny_task())
+
     def test_residual_ranks_tracked(self):
         result = run_training(quick(epochs=8, lr=3e-2), tiny_task())
         final = result.records[-1].residual_ranks
@@ -448,10 +464,10 @@ class TestThreadedFactorize:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
-        monkeypatch.setattr(rosa.training, "_worker_count", lambda: 1)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 1)
         serial = self.run_files(tmp_path, "serial")
         assert started == []
-        monkeypatch.setattr(rosa.training, "_worker_count", lambda: 2)
+        monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: 2)
         threaded = self.run_files(tmp_path, "threaded")
         # Two layers: one extra thread per event, 3 epochs of 2 steps.
         assert len(started) == 6
@@ -478,7 +494,7 @@ class TestThreadedFactorize:
         files = []
         # Threads per event: the sum over groups of group size - 1.
         for workers, per_event in ((1, 0), (2, 1 + 1), (3, 2 + 1)):
-            monkeypatch.setattr(rosa.training, "_worker_count", lambda: workers)
+            monkeypatch.setattr(rosa.linalg, "_worker_count", lambda: workers)
             started.clear()
             files.append(self.run_files(tmp_path, f"w{workers}", task))
             # 3 epochs of 2 steps, an event before each.

@@ -30,10 +30,12 @@ Each problem decomposes its residual R @ (w_ls - w0) once with svd
 (RegressionProblem.residual_factors): the residual spectrum, the
 closed-form optimum at every rank and the first greedy round all read it.
 A greedy round forms R (w_ls - w) once for its new weight w: its squared
-norm prices the round, and the next round takes its top-r right
-singular subspace from a p x p Gram eigendecomposition
-(linalg.leading_right_vectors), not a full svd: off by about
-eps * sigma_1^2 / (sigma_r^2 - sigma_r+1^2), blind below about
+norm prices the round. No round leaves the row space of e, so the next
+round takes its top-r right singular subspace from the k x k Gram
+eigendecomposition (linalg.leading_right_vectors) of R (w_ls - w) B, with
+B the first k = max(rank(e), r) right singular vectors of e, not a full
+svd. B drops only what residual_rank counts as zero; the subspace is off
+by about eps * sigma_1^2 / (sigma_r^2 - sigma_r+1^2), blind below about
 1e-8 * sigma_1, where under 1e-16 of the squared error lies, far below
 the suite's 1e-12 convergence test. The off-range noisy variant of a
 problem projects its draw off the range of x as z - Q (Q^T z) and shares
@@ -108,10 +110,6 @@ class RegressionProblem:
                 f"x is column-rank deficient: sigma_min={s[-1]:.6e} "
                 f"against sigma_max={s[0]:.6e}"
             )
-
-    @property
-    def n_samples(self) -> int:
-        return self.x.shape[0]
 
     @property
     def d_features(self) -> int:
@@ -304,17 +302,18 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     `rank` strongest remaining singular directions of the residual. Round
     0 reads the problem's residual svd; each later round takes the top
     `rank` right singular subspace of its own residual R (w_ls - w) with
-    leading_right_vectors, off by about
-    eps * sigma_1^2 / (sigma_rank^2 - sigma_rank+1^2) and blind to
-    directions below about 1e-8 * sigma_1 (under 1e-16 of the squared
-    error). Errors are non-increasing; a violation beyond roundoff, or a
-    non-finite error, raises NumericError. The trace stops after
-    max_steps rounds regardless of convergence.
+    leading_right_vectors, within the problem's first
+    max(residual_rank, rank) right singular vectors: each move lies in
+    the row space of the residual it acts on, so no residual leaves their
+    span (accuracy in the module docstring). Errors are non-increasing; a
+    violation beyond roundoff, or a non-finite error, raises NumericError.
+    The trace stops after max_steps rounds regardless of convergence.
     """
     _check_correction_rank(problem, rank)
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be >= 0, got {max_steps}")
-    t_predicted = predicted_rounds(problem, rank)
+    s = residual_rank(problem)
+    t_predicted = math.ceil(s / rank)
     w = problem.w0.copy()
     weights = [w]
     errors = [data_error(problem, w)]
@@ -322,10 +321,11 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     # w starts at w0, so round 0 reads the problem's residual decomposition.
     # gap = R (w_ls - w) prices each round as data_error would (its sign
     # flip is exact) and is the next round's residual.
-    v_r = problem.residual_factors.v[:, :rank]
+    basis = problem.residual_factors.v[:, :max(s, rank)]
+    v_r = basis[:, :rank]
     for step in range(max_steps):
         if step:
-            v_r = leading_right_vectors(gap, rank)
+            v_r = basis @ leading_right_vectors(gap @ basis, rank)
         w = w + ((problem.w_ls - w) @ v_r) @ v_r.T
         gap = problem.x_r @ (problem.w_ls - w)
         err = _squared_norm(gap) + problem.irreducible

@@ -64,7 +64,6 @@ class TestProblemValidation:
 
     def test_properties(self):
         p = random_instance(10, 4, 3, seed=0)
-        assert p.n_samples == 10
         assert p.d_features == 4
         assert p.p_targets == 3
         assert p.rank_budget() == 3
@@ -520,7 +519,20 @@ class TestDecompositionCount:
             monkeypatch.setattr(rosa.exact, name, counting)
         return calls
 
-    def test_theorem_suite(self, monkeypatch, calls):
+    @pytest.fixture
+    def solve_shapes(self, monkeypatch, calls):
+        """Shapes of the matrices leading_right_vectors receives."""
+        shapes = []
+        counted = rosa.exact.leading_right_vectors
+
+        def recording(w, rank):
+            shapes.append(np.shape(w))
+            return counted(w, rank)
+
+        monkeypatch.setattr(rosa.exact, "leading_right_vectors", recording)
+        return shapes
+
+    def test_theorem_suite(self, monkeypatch, calls, solve_shapes):
         built, traces = [], []
         post_init = RegressionProblem.__post_init__
         iterate = rosa.experiments.rosa_exact_iterate
@@ -530,9 +542,12 @@ class TestDecompositionCount:
             post_init(self)
 
         def counting_iterate(problem, rank, max_steps):
-            before = len(calls)
+            before, shapes_before = len(calls), len(solve_shapes)
             trace = iterate(problem, rank, max_steps)
-            traces.append((calls[before:], len(trace.errors) - 1))
+            width = max(residual_rank(problem), rank)
+            traces.append((calls[before:], len(trace.errors) - 1,
+                           solve_shapes[shapes_before:],
+                           (problem.d_features, width)))
             return trace
 
         monkeypatch.setattr(RegressionProblem, "__post_init__", counting_post_init)
@@ -543,14 +558,19 @@ class TestDecompositionCount:
         assert len(built) == 1
         assert len(traces) == len(report["cases"]) + 1
         # Round 0 of every trace reads its problem's decomposition; each
-        # later round takes one leading_right_vectors and nothing else.
+        # later round takes one leading_right_vectors and nothing else, on
+        # its residual in the d x max(s, rank) basis of the problem's
+        # residual row space, never on the d x p residual itself.
         assert all(during == ["leading_right_vectors"] * (rounds - 1)
-                   for during, rounds in traces)
+                   for during, rounds, _, _ in traces)
+        assert all(shapes == [want] * (rounds - 1)
+                   for _, rounds, shapes, want in traces)
+        assert all(want[1] < built[0].p_targets for *_, want in traces)
         # One residual svd for the base problem, none for the noisy copy,
         # which shares it.
         assert calls.count("svd") == 1
         assert calls.count("leading_right_vectors") == sum(
-            r - 1 for _, r in traces)
+            r - 1 for _, r, _, _ in traces)
         # Singular values only for the rank check at construction.
         assert calls.count("singular_values") == len(built)
 
@@ -576,6 +596,14 @@ class TestDecompositionCount:
         assert report["all_ok"]
         assert factored == [(40, 16)]
         assert (40, 16) not in reduced
+
+    @pytest.mark.parametrize("rank, width", [(1, 3), (3, 3), (8, 8)])
+    def test_basis_widens_to_rank(self, solve_shapes, rank, width):
+        # A rank-3 residual: the basis holds its 3 directions, widened to
+        # `rank` columns when the round is wider than the residual.
+        prob = realizable_instance(30, 10, 9, residual_rank=3, seed=66)
+        rosa_exact_iterate(prob, rank, max_steps=3)
+        assert solve_shapes == [(10, width)] * 2
 
     def test_problem_decomposes_residual_once(self, calls):
         base = realizable_instance(20, 6, 4, residual_rank=3, seed=63)
@@ -651,6 +679,34 @@ class TestRightFactorRoute:
                 assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale), t
                 assert np.isclose(trace.errors[t], direct_error(prob, want),
                                   rtol=1e-9, atol=1e-12 * trace.errors[0])
+
+    ROW_SPACE_CASES = {
+        "full_rank": (lambda: random_instance(60, 10, 6, seed=67), (1, 4)),
+        "rank3": (lambda: realizable_instance(60, 10, 9, residual_rank=3,
+                                              seed=68), (4, 8)),
+        "solved": (lambda: realizable_instance(60, 10, 6, residual_rank=0,
+                                               seed=69), (1, 3)),
+        "wide": (lambda: random_instance(60, 5, 9, seed=70), (1, 2)),
+        "noisy": (lambda: with_off_range_noise(
+            realizable_instance(60, 10, 6, residual_rank=4, seed=71),
+            scale=0.5, seed=72), (1, 3)),
+    }
+
+    @pytest.mark.parametrize("case", ROW_SPACE_CASES)
+    def test_row_space_rounds_match_direct_route(self, case):
+        # Later rounds solve inside the row space of the problem's residual;
+        # the direct route decomposes each round's n x p residual in full.
+        make, ranks = self.ROW_SPACE_CASES[case]
+        prob = make()
+        scale = float(np.abs(prob.w_ls).max())
+        for rank in ranks:
+            steps = predicted_rounds(prob, rank) + 2
+            trace = rosa_exact_iterate(prob, rank, steps)
+            ref = direct_greedy_weights(prob, rank, steps)
+            for t, (got, want) in enumerate(zip(trace.weights, ref)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale), t
+                assert np.isclose(trace.errors[t], direct_error(prob, want),
+                                  rtol=1e-9, atol=1e-12 * max(trace.errors[0], 1.0))
 
     @pytest.mark.parametrize("d, p, residual, ranks", [
         (16, 8, 6, (1, 2, 3, 6)), (8, 8, 5, (1, 2, 5)), (6, 12, 5, (1, 2, 5)),

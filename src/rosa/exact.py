@@ -144,6 +144,11 @@ class RegressionProblem:
         return self.residual_factors.sigma
 
     @cached_property
+    def y_norm(self) -> float:
+        """||y||_F, the scale residual_rank and the greedy slack read."""
+        return float(np.linalg.norm(self.y))
+
+    @cached_property
     def irreducible(self) -> float:
         """||x w_ls - y||_F^2, the error floor shared by every weight."""
         return _squared_norm(self.x @ self.w_ls - self.y)
@@ -154,7 +159,7 @@ class RegressionProblem:
         y - self.y must be orthogonal to the range of x. Then w_ls, x_q,
         x_r and residual_factors carry over unchanged and x needs no second
         rank check, so __post_init__ is skipped; the new problem computes
-        only its own irreducible error.
+        only its own irreducible error and, when read, its own y_norm.
         """
         y = as_matrix(y, "y")
         new = object.__new__(type(self))
@@ -280,10 +285,11 @@ def residual_rank(problem: RegressionProblem) -> int:
     A singular value counts if it clears RESIDUAL_RANK_TOL relative to the
     larger of sigma_max(e) and the Frobenius norm of y. The second anchor
     keeps an all-roundoff residual (problem already solved by w0) at rank
-    zero instead of promoting its noise floor to full rank.
+    zero instead of promoting its noise floor to full rank. Both anchors
+    scale with the data, so scaling y and w0 together keeps the rank.
     """
     s = problem.residual_sigma
-    cutoff = RESIDUAL_RANK_TOL * max(s[0], np.linalg.norm(problem.y), 1.0)
+    cutoff = RESIDUAL_RANK_TOL * max(s[0], problem.y_norm)
     return int(np.count_nonzero(s > cutoff))
 
 
@@ -317,7 +323,7 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     w = problem.w0.copy()
     weights = [w]
     errors = [data_error(problem, w)]
-    slack = 1e-12 * max(errors[0], 1.0)
+    slack = 1e-12 * max(errors[0], problem.y_norm ** 2)
     # w starts at w0, so round 0 reads the problem's residual decomposition.
     # gap = R (w_ls - w) prices each round as data_error would (its sign
     # flip is exact) and is the next round's residual.

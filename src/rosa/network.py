@@ -87,11 +87,10 @@ class GradientSet:
     layers: list[dict[str, Array]]
 
 
-def build_mlp(dims: list[int], rng: np.random.Generator,
-              hidden_activation: Activation = Activation.RELU) -> Mlp:
+def build_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
     """Fully-trainable MLP with He-scaled Gaussian weights and zero biases.
 
-    Hidden layers use hidden_activation; the last layer is always linear.
+    Hidden layers use ReLU; the last layer is linear.
     """
     if len(dims) < 2:
         raise InvalidInputError(f"need at least input and output dims, got {dims}")
@@ -99,7 +98,7 @@ def build_mlp(dims: list[int], rng: np.random.Generator,
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
-        act = hidden_activation if i < len(dims) - 2 else Activation.IDENTITY
+        act = Activation.RELU if i < len(dims) - 2 else Activation.IDENTITY
         layers.append(DenseLayer(adapter=full_init(w), bias=np.zeros(fan_out),
                                  activation=act))
     return Mlp(layers=layers)

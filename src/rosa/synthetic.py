@@ -9,14 +9,13 @@ capped below that rank have a provable quality gap to close.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .linalg import Array
-from .network import Activation, Mlp, build_mlp, predict
+from .network import Mlp, build_mlp, predict
 
 
 @dataclass(frozen=True)
@@ -25,13 +24,11 @@ class SyntheticSpec:
 
     layer_dims lists the MLP widths input-first, so (64, 64, 64) is a
     two-matrix network. drift_rank is the exact rank of the per-layer
-    teacher drift. Inputs are i.i.d. Gaussian with std input_sigma.
+    teacher drift. Inputs are i.i.d. standard Gaussian.
     """
 
     layer_dims: tuple[int, ...] = (64, 64, 64)
     drift_rank: int = 24
-    drift_scale: float = 1.0
-    input_sigma: float = 1.0
     n_train: int = 1024
     n_val: int = 256
     seed: int = 0
@@ -49,12 +46,6 @@ class SyntheticSpec:
                 f"must be in [1, {narrowest}] for dims {self.layer_dims}, "
                 f"got {self.drift_rank}",
             )
-        if not 0.0 < self.drift_scale < math.inf:
-            raise ConfigError("drift_scale",
-                              f"must be finite and > 0, got {self.drift_scale}")
-        if not 0.0 < self.input_sigma < math.inf:
-            raise ConfigError("input_sigma",
-                              f"must be finite and > 0, got {self.input_sigma}")
         if self.n_train < 1:
             raise ConfigError("n_train", f"must be >= 1, got {self.n_train}")
         if self.n_val < 1:
@@ -77,27 +68,26 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticTask:
     """Draw base net, teacher drift, and data, all from spec.seed.
 
     The drift on each weight is p @ q with factor entries scaled so the
-    drift's per-entry std is drift_scale times that of the He-initialized
-    base weight (rank * var_p * var_q = drift_scale^2 * 2 / fan_in).
+    drift's per-entry std is that of the He-initialized base weight
+    (rank * var_p * var_q = 2 / fan_in).
     Targets are exact teacher outputs, so the task is realizable by
     construction. The training arrays are stored column-contiguous
     (Fortran order), so gathering a minibatch of columns copies whole
     samples.
     """
     rng = np.random.default_rng(spec.seed)
-    base = build_mlp(list(spec.layer_dims), rng,
-                     hidden_activation=Activation.RELU)
+    base = build_mlp(list(spec.layer_dims), rng)
     teacher = base.copy()
     for layer in teacher.layers:
         fan_out, fan_in = layer.adapter.shape
-        std = np.sqrt(spec.drift_scale) * (2.0 / (fan_in * spec.drift_rank)) ** 0.25
+        std = (2.0 / (fan_in * spec.drift_rank)) ** 0.25
         p = rng.normal(0.0, std, size=(fan_out, spec.drift_rank))
         q = rng.normal(0.0, std, size=(spec.drift_rank, fan_in))
         layer.adapter.w += p @ q
     teacher.bump()
     d_in = spec.layer_dims[0]
-    x_train = rng.normal(0.0, spec.input_sigma, size=(d_in, spec.n_train))
-    x_val = rng.normal(0.0, spec.input_sigma, size=(d_in, spec.n_val))
+    x_train = rng.normal(0.0, 1.0, size=(d_in, spec.n_train))
+    x_val = rng.normal(0.0, 1.0, size=(d_in, spec.n_val))
     return SyntheticTask(
         base=base,
         teacher=teacher,

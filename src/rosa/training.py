@@ -46,10 +46,6 @@ class TrainConfig:
     scheme: str = "random"
     ablation: str = "full"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-6
-    weight_decay: float = 0.0
     epochs: int = 10
     batch_size: int = 128
     seed: int = 0
@@ -74,15 +70,6 @@ class TrainConfig:
                               f"{self.ablation!r} only applies to method 'rosa'")
         if not 0.0 < self.lr < math.inf:
             raise ConfigError("lr", f"must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(name, f"must be in [0, 1), got {value}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ConfigError("epsilon", f"must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError("weight_decay",
-                              f"must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -140,11 +127,6 @@ def adapt_network(base: Mlp, config: TrainConfig,
     return Mlp(layers=layers)
 
 
-def make_optimizer(config: TrainConfig) -> AdamW:
-    return AdamW(learning_rate=config.lr, beta1=config.beta1, beta2=config.beta2,
-                 epsilon=config.epsilon, weight_decay=config.weight_decay)
-
-
 def _factorize_rosa_layers(net: Mlp, optimizer: AdamW,
                            rng: np.random.Generator) -> None:
     """One factorize event (the schedule runs only for method rosa, so
@@ -196,7 +178,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     net = adapt_network(task.base, config, rng)
     initial_net = net.copy()
-    optimizer = make_optimizer(config)
+    optimizer = AdamW(learning_rate=config.lr)
     n = task.x_train.shape[1]
     batch = min(config.batch_size, n)
     schedule_on = config.method == "rosa" and config.ablation == "full"

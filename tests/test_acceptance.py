@@ -46,11 +46,11 @@ from rosa.network import (
     mse_loss_gradient,
     predict,
 )
+from rosa.optim import AdamW
 from rosa.synthetic import SyntheticSpec, generate_synthetic
 from rosa.training import (
     TrainConfig,
     adapt_network,
-    make_optimizer,
     run_training,
     write_metrics_csv,
 )
@@ -391,7 +391,7 @@ def test_12_memory_parity_with_lora(capsys):
     def held(method, rank):
         config = TrainConfig(method=method, rank=rank, epochs=1)
         net = adapt_network(task.base, config, np.random.default_rng(0))
-        optimizer = make_optimizer(config)
+        optimizer = AdamW(learning_rate=config.lr)
         pred, cache = forward(net, x)
         optimizer.step(net, backward(net, cache, mse_loss_gradient(pred, y)))
         return adapter_bytes(net), optimizer._flat.m.size

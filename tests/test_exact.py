@@ -188,6 +188,21 @@ class TestResidualRankAndRounds:
         assert predicted_rounds(p, 5) == 1
         assert predicted_rounds(p, 6) == 1
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_rank_does_not_depend_on_units(self, scale):
+        # y and w0 scaled together: the same problem in other units.
+        base = realizable_instance(200, 16, 8, residual_rank=4, seed=0)
+        p = RegressionProblem(x=base.x, y=base.y * scale, w0=base.w0 * scale)
+        assert residual_rank(p) == 4
+        assert [predicted_rounds(p, r) for r in (1, 2, 3, 4)] == [4, 2, 2, 1]
+        for rank in (1, 2):
+            steps = predicted_rounds(p, rank) + 1
+            trace = rosa_exact_iterate(p, rank, steps)
+            ref = direct_greedy_weights(p, rank, steps)
+            for t, (got, want) in enumerate(zip(trace.weights, ref)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-10 * scale), t
+            assert trace.errors[steps - 1] <= 1e-20 * trace.errors[0]
+
 
 class TestGreedyIteration:
     def test_matches_single_decomposition_route(self):
@@ -454,6 +469,13 @@ class TestNoiseInjection:
         noisy = with_off_range_noise(base, scale=1.0, seed=50)
         predicted_rounds(noisy, 1)
         assert calls == []
+
+    def test_y_norm_is_not_shared(self):
+        base = random_instance(14, 5, 4, seed=55)
+        base_norm = base.y_norm  # cached before the copy is made
+        noisy = with_off_range_noise(base, scale=2.0, seed=56)
+        assert base_norm == np.linalg.norm(base.y)
+        assert noisy.y_norm == np.linalg.norm(noisy.y) != base_norm
 
     def test_shared_weight_is_noisy_least_squares(self):
         base = random_instance(14, 5, 4, seed=51)

@@ -10,7 +10,7 @@ import rosa.training
 from rosa.checkpoint import load_checkpoint, save_checkpoint
 from rosa.experiments import write_spectrum_csv
 from rosa.fileio import atomic_open, write_json
-from rosa.network import Activation, build_mlp
+from rosa.network import build_mlp
 from rosa.training import (MetricsRecord, write_metrics_csv,
                            write_summary_json)
 
@@ -75,8 +75,7 @@ def test_every_writer_goes_through_atomic_open(tmp_path, monkeypatch):
     for module in (rosa.fileio, rosa.checkpoint, rosa.experiments,
                    rosa.training):
         monkeypatch.setattr(module, "atomic_open", recording)
-    net = build_mlp([3, 4, 2], np.random.default_rng(0),
-                    hidden_activation=Activation.RELU)
+    net = build_mlp([3, 4, 2], np.random.default_rng(0))
     save_checkpoint(net, tmp_path / "model.rsa1")
     write_spectrum_csv([{"layer": 0, "sigma": [1.0], "cumulative": [1.0]}],
                        tmp_path / "spectrum.csv")

@@ -131,11 +131,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+# Each `rosa theorem` flag and the run_theorem_suite parameter it sets.
+_THEOREM_FLAGS = {"--samples": "n", "--inputs": "d", "--outputs": "p",
+                  "--residual-rank": "residual_rank", "--ranks": "ranks",
+                  "--seed": "seed"}
+
+
 def cmd_theorem(args) -> int:
     out = _ensure_out(args) if args.out else None
-    report = run_theorem_suite(n=args.samples, d=args.inputs, p=args.outputs,
-                               residual_rank=args.residual_rank,
-                               ranks=tuple(args.ranks), seed=args.seed)
+    # Only the flags given reach the suite; it holds the default instance.
+    given = {name: getattr(args, name) for name in _THEOREM_FLAGS.values()
+             if hasattr(args, name)}
+    if "ranks" in given:
+        given["ranks"] = tuple(given["ranks"])
+    report = run_theorem_suite(**given)
     inst = report["instance"]
     print(f"instance: n={inst['n']} d={inst['d']} p={inst['p']} "
           f"residual rank {inst['residual_rank']} seed {inst['seed']}")
@@ -268,13 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     theorem = sub.add_parser("theorem", help="run the exact-convergence suite")
-    theorem.add_argument("--samples", type=int, default=40)
-    theorem.add_argument("--inputs", type=int, default=16)
-    theorem.add_argument("--outputs", type=int, default=8)
-    theorem.add_argument("--residual-rank", type=int, default=6,
-                         dest="residual_rank")
-    theorem.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 3, 6])
-    theorem.add_argument("--seed", type=int, default=0)
+    for flag, name in _THEOREM_FLAGS.items():
+        theorem.add_argument(flag, type=int, dest=name, default=argparse.SUPPRESS,
+                             nargs="+" if name == "ranks" else None)
     theorem.add_argument("--out", help="optional output directory")
     theorem.set_defaults(func=cmd_theorem)
 

@@ -212,12 +212,16 @@ def singular_values(w) -> Array:
     return np.linalg.svd(as_matrix(w, "w"), compute_uv=False)
 
 
-def numerical_rank(w, rel_tol: float = 1e-9) -> int:
-    """Count singular values above rel_tol times the largest one."""
+def numerical_rank(w) -> int:
+    """Count singular values above 1e-8 times the largest one.
+
+    The matrices ranked are drifts: differences of effective weights, whose
+    roundoff sits far below 1e-8 of the largest singular value.
+    """
     s = singular_values(w)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
 def sample_indices(count: int, bound: int, scheme: SamplingScheme,

@@ -20,6 +20,11 @@ from .errors import ContractViolationError, InvalidInputError
 from .linalg import Array
 from .network import GradientSet, Mlp
 
+# The one recipe: Adam's moment decays and the denominator's epsilon.
+BETA1 = 0.9
+BETA2 = 0.98
+EPSILON = 1e-6
+
 
 @dataclass
 class _FlatState:
@@ -61,12 +66,10 @@ class _FlatState:
 
 @dataclass
 class AdamW:
-    """Adam with decoupled weight decay and bias-corrected moments.
+    """Adam with bias-corrected moments: AdamW at zero weight decay.
 
-    Decay is applied directly to the parameter (p *= 1 - lr * wd) before
-    the Adam update, so it never enters the moment estimates. With
-    beta1 = beta2 = 0 and weight_decay = 0 a step reduces to plain SGD
-    scaled by g / (|g| + epsilon).
+    The learning rate is the one setting; the moment decays and epsilon
+    are the recipe's BETA1, BETA2 and EPSILON.
 
     The first step fixes the layout of one flat moment pair over every
     trainable array of the network; each array keeps its own step count for
@@ -76,25 +79,13 @@ class AdamW:
     """
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-6
-    weight_decay: float = 0.0
     _flat: _FlatState | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
     def __post_init__(self):
-        for name in ("learning_rate", "epsilon"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise InvalidInputError(f"{name} must be in [0, 1), got {value}")
-        if not 0.0 <= self.weight_decay < np.inf:
+        if not 0.0 < self.learning_rate < np.inf:
             raise InvalidInputError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:
@@ -132,7 +123,7 @@ class AdamW:
         self._flat = st
         st.t = ts = [t + 1 for t in st.t]
         m, v, g, u = st.m, st.v, st.g, st.u
-        b1, b2, lr = self.beta1, self.beta2, self.learning_rate
+        b1, b2, lr = BETA1, BETA2, self.learning_rate
         np.concatenate(flat_grads, axis=None, out=g)
         # Element by element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
         # u = (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
@@ -155,12 +146,9 @@ class AdamW:
             start = run.stop
         g *= lr
         np.sqrt(u, out=u)
-        u += self.epsilon
+        u += EPSILON
         np.divide(g, u, out=u)
-        decay = 1.0 - lr * self.weight_decay
         for p, update in zip(params, st.u_views):
-            if self.weight_decay > 0.0:
-                p *= decay
             p -= update
         net.bump()
 

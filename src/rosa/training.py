@@ -34,7 +34,6 @@ CHOICES = {
     "scheme": tuple(s.value for s in SamplingScheme),
     "ablation": ("full", "svd_init_factorize", "svd_init_only"),
 }
-_RESIDUAL_RANK_TOL = 1e-8
 
 
 @dataclass
@@ -160,7 +159,7 @@ def _drift_ranks(net: Mlp, initial_net: Mlp) -> tuple[int, ...]:
     merged from the start snapshot one layer at a time."""
     return tuple(
         numerical_rank(layer.adapter.effective_weight()
-                       - start.adapter.effective_weight(), _RESIDUAL_RANK_TOL)
+                       - start.adapter.effective_weight())
         for layer, start in zip(net.layers, initial_net.layers)
     )
 
@@ -232,7 +231,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
     if config.method == "lora":
         # A LoRA layer's drift is exactly its product a @ b, free of the
         # cancellation noise of differencing effective weights.
-        ranks = tuple(numerical_rank(layer.adapter.product(), _RESIDUAL_RANK_TOL)
+        ranks = tuple(numerical_rank(layer.adapter.product())
                       for layer in net.layers)
         if any(r > config.rank for r in ranks):
             raise ContractViolationError(

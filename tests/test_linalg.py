@@ -422,10 +422,9 @@ class TestNumericalRank:
         assert numerical_rank(w) == 1
 
     def test_threshold_is_relative(self):
-        w = np.diag([1e6, 1e-5])
-        # 1e-5 / 1e6 = 1e-11 sits below the default 1e-9 cutoff.
-        assert numerical_rank(w) == 1
-        assert numerical_rank(w, rel_tol=1e-12) == 2
+        # 1e-3 / 1e6 = 1e-9 sits below the 1e-8 cutoff, 1e-1 / 1e6 = 1e-7 above.
+        assert numerical_rank(np.diag([1e6, 1e-3])) == 1
+        assert numerical_rank(np.diag([1e6, 1e-1])) == 2
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 4))) == 0

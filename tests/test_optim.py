@@ -43,17 +43,6 @@ class TestAdamWAgainstReference:
         want = adamw_reference(w0, grad_seq, lr=0.01)
         assert np.allclose(net.layers[0].adapter.w, want, atol=1e-14)
 
-    def test_weight_decay_is_decoupled(self):
-        rng = np.random.default_rng(2)
-        w0 = rng.standard_normal((2, 2))
-        net = single_layer_net(w0)
-        opt = AdamW(learning_rate=0.05, weight_decay=0.1)
-        grad_seq = [rng.standard_normal((2, 2)) for _ in range(5)]
-        for g in grad_seq:
-            opt.step(net, GradientSet(layers=[{"w": g, "bias": np.zeros(2)}]))
-        want = adamw_reference(w0, grad_seq, lr=0.05, wd=0.1)
-        assert np.allclose(net.layers[0].adapter.w, want, atol=1e-14)
-
     def test_zero_decay_leaves_stationary_point(self):
         # With zero gradients and no decay the parameter must not move.
         net = single_layer_net([[3.0]])
@@ -143,20 +132,18 @@ class TestAlignment:
 class TestHyperparamValidation:
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": -1.0},
-        {"learning_rate": 0.01, "beta1": 1.0},
-        {"learning_rate": 0.01, "beta2": -0.1},
-        {"learning_rate": 0.01, "epsilon": 0.0},
-        {"learning_rate": 0.01, "weight_decay": -0.5},
         {"learning_rate": float("inf")},
         {"learning_rate": float("nan")},
-        {"learning_rate": 0.01, "epsilon": float("inf")},
-        {"learning_rate": 0.01, "epsilon": float("nan")},
-        {"learning_rate": 0.01, "weight_decay": float("inf")},
-        {"learning_rate": 0.01, "weight_decay": float("nan")},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
             AdamW(**kwargs)
+
+    # The recipe's constants are not settable.
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon", "weight_decay"])
+    def test_removed_keyword(self, name):
+        with pytest.raises(TypeError):
+            AdamW(learning_rate=0.01, **{name: 0.1})
 
 
 def test_adamw_updates_rosa_pair_in_place():
@@ -195,13 +182,10 @@ class TestFlatAdamWAgainstLoop:
     RESETS = {3: [(0, ("a", "b"))], 5: [(1, ("a",)), (0, ("bias",))],
               6: [(1, ("b", "bias"))]}
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("with_resets", [False, True])
-    def test_bitwise_equal(self, weight_decay, with_resets):
+    def test_bitwise_equal(self, with_resets):
         flat_net, loop_net = rosa_bias_net(11), rosa_bias_net(11)
-        kwargs = dict(learning_rate=0.03, beta1=0.8, beta2=0.95,
-                      epsilon=1e-7, weight_decay=weight_decay)
-        flat, loop = AdamW(**kwargs), LoopAdamW(**kwargs)
+        flat, loop = AdamW(0.03), LoopAdamW(0.03)
         for step in range(9):
             for layer_index, names in (self.RESETS.get(step, ())
                                        if with_resets else ()):
@@ -320,7 +304,7 @@ class TestRejectedStepChangesNothing:
     moments, the step counts and the network version as they were, and
     the next valid step matches an optimizer that never saw the bad call."""
 
-    KWARGS = dict(learning_rate=0.03, weight_decay=0.05)
+    KWARGS = dict(learning_rate=0.03)
 
     def check(self, steps_before: int, bad_call):
         net, twin_net = rosa_bias_net(16), rosa_bias_net(16)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import rosa.linalg
-import rosa.training
 from rosa.adapters import RosaAdapter
 from rosa.checkpoint import encode_checkpoint
 from rosa.errors import ConfigError, NumericError
@@ -370,8 +369,7 @@ def drift_ranks_of(result) -> tuple[int, ...]:
     """Per-layer numerical rank of the trained net's move from its start."""
     return tuple(
         numerical_rank(layer.adapter.effective_weight()
-                       - start.adapter.effective_weight(),
-                       rosa.training._RESIDUAL_RANK_TOL)
+                       - start.adapter.effective_weight())
         for layer, start in zip(result.net.layers, result.initial_net.layers))
 
 

@@ -130,20 +130,25 @@ class TestAlignment:
 
 
 class TestHyperparamValidation:
+    # The recipe's beta1, beta2, epsilon and weight_decay are constants, not
+    # keywords: passing one is a TypeError, whatever its value.
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": -1.0},
+        {"learning_rate": 0.01, "beta1": 1.0},
+        {"learning_rate": 0.01, "beta2": -0.1},
+        {"learning_rate": 0.01, "epsilon": 0.0},
+        {"learning_rate": 0.01, "weight_decay": -0.5},
         {"learning_rate": float("inf")},
         {"learning_rate": float("nan")},
+        {"learning_rate": 0.01, "epsilon": float("inf")},
+        {"learning_rate": 0.01, "epsilon": float("nan")},
+        {"learning_rate": 0.01, "weight_decay": float("inf")},
+        {"learning_rate": 0.01, "weight_decay": float("nan")},
     ])
     def test_rejected(self, kwargs):
-        with pytest.raises(InvalidInputError):
+        error = TypeError if len(kwargs) > 1 else InvalidInputError
+        with pytest.raises(error):
             AdamW(**kwargs)
-
-    # The recipe's constants are not settable.
-    @pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon", "weight_decay"])
-    def test_removed_keyword(self, name):
-        with pytest.raises(TypeError):
-            AdamW(learning_rate=0.01, **{name: 0.1})
 
 
 def test_adamw_updates_rosa_pair_in_place():

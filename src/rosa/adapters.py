@@ -104,7 +104,7 @@ class RosaAdapter(_CheckedForward):
         merged = self.effective_weight()
         if factors is None:
             factors = svd(merged)
-        idx = sample_indices(self.rank, factors.rank_bound, self.scheme, rng)
+        idx = sample_indices(self.rank, factors.sigma.size, self.scheme, rng)
         self.a = factors.u[:, idx] * factors.sigma[idx]
         self.b = factors.v[:, idx].T
         self.w_fixed = merged - self.a @ self.b

@@ -3,8 +3,8 @@
 Subcommands: train, theorem, spectrum, and the grids ablate, schemes and
 compare. Configuration for training comes from an optional JSON file (keys
 mirror TrainConfig, with an optional "data" object mirroring SyntheticSpec)
-plus flag overrides; flags win; a grid reads only "data". Each JSON value
-is checked against its field's type before any config is built. Exit codes:
+plus flag overrides; flags win; a grid reads only "data". TrainConfig and
+SyntheticSpec check each value against its field's type. Exit codes:
 0 success, 2 bad configuration (or one too large for memory), 3 numeric
 failure, 4 I/O or file-format failure, 130 interrupted (Ctrl-C).
 """
@@ -15,8 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import types
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,40 +31,13 @@ from .training import (CHOICES, TrainConfig, run_training,
                        write_metrics_csv, write_summary_json)
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation: int but not bool,
-    float also from an int within float range, str, bool, tuple of int from
-    a JSON list, and None only where the annotation allows it."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if hint is float:
-        return (isinstance(value, float)
-                or _fits(value, int) and abs(value) <= sys.float_info.max)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if hint is type(None):
-        return value is None
-    return isinstance(value, hint)
-
-
 def _typed_fields(cls, raw: dict, what: str) -> dict:
-    """Keyword arguments for dataclass cls from one JSON object.
-
-    Each value is checked against its field's annotation and JSON lists
-    become tuples; an unknown key or a mistyped value raises ConfigError
-    naming the field.
-    """
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
+    """Keyword arguments for dataclass cls from one JSON object: JSON lists
+    become tuples; an unknown key raises ConfigError naming it. cls checks
+    each value's type itself."""
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(sorted(unknown)[0], f"unknown {what}")
-    hints = typing.get_type_hints(cls)
-    for key, value in raw.items():
-        if not _fits(value, hints[key]):
-            raise ConfigError(key, f"must be {fields[key]}, got {value!r}")
     return {key: tuple(value) if isinstance(value, list) else value
             for key, value in raw.items()}
 
@@ -95,12 +66,13 @@ def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_cfg = file_cfg.pop("data", {})
     train_cfg = _typed_fields(TrainConfig, file_cfg, "config field")
-    data_cfg = _data_fields(data_cfg)
+    # Built first: a mistyped data value is named before a range error.
+    spec = SyntheticSpec(**_data_fields(data_cfg))
     # Flags win; each train flag's dest is its TrainConfig field's name.
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     train_cfg.update({key: value for key, value in vars(args).items()
                       if key in fields and value is not None})
-    return TrainConfig(**train_cfg), SyntheticSpec(**data_cfg)
+    return TrainConfig(**train_cfg), spec
 
 
 def _ensure_out(args) -> Path:

@@ -1,10 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type check of config
+fields.
 
 Everything raised on purpose derives from RosaError so callers can catch one
 base class at the CLI boundary and map it to an exit code.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import sys
+import types
+import typing
 
 
 def _rebuild(cls, args: tuple, fields: dict) -> "RosaError":
@@ -57,6 +63,36 @@ class ConfigError(RosaError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field {field!r}: {message}")
         self.field = field
+
+
+def _fits(value, hint) -> bool:
+    """Whether a value fits a field annotation: int but not bool, float
+    also from an int within float range, str, bool, tuple of int from a
+    tuple or a list, and None only where the annotation allows it."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return (isinstance(value, (tuple, list))
+                and all(_fits(v, item) for v in value))
+    if hint is float:
+        return (isinstance(value, float)
+                or _fits(value, int) and abs(value) <= sys.float_info.max)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    return isinstance(value, hint)
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError naming the first field of a dataclass instance
+    whose value does not fit the field's annotation."""
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not _fits(value, hints[f.name]):
+            raise ConfigError(f.name, f"must be {f.type}, got {value!r}")
 
 
 class CheckpointFormatError(RosaError):

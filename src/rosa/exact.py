@@ -111,18 +111,6 @@ class RegressionProblem:
                 f"against sigma_max={s[0]:.6e}"
             )
 
-    @property
-    def d_features(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def p_targets(self) -> int:
-        return self.y.shape[1]
-
-    def rank_budget(self) -> int:
-        """Largest admissible correction rank, min(d, p)."""
-        return min(self.d_features, self.p_targets)
-
     @cached_property
     def w_ls(self) -> Array:
         """Least-squares weight argmin_w ||x w - y||_F^2, solved once as
@@ -137,11 +125,6 @@ class RegressionProblem:
         for a in (factors.u, factors.sigma, factors.v):
             _read_only(a)
         return factors
-
-    @property
-    def residual_sigma(self) -> Array:
-        """Singular values of e = x @ (w_ls - w0), descending, min(d, p) of them."""
-        return self.residual_factors.sigma
 
     @cached_property
     def y_norm(self) -> float:
@@ -184,14 +167,12 @@ class RosaTrace:
     """Record of the greedy exact iteration.
 
     weights[t] is the weight after t rounds (weights[0] is w0), errors[t]
-    the matching squared data error. t_predicted is the round count at
-    which the error must hit its floor, read off the residual spectrum
-    before iterating.
+    the matching squared data error. predicted_rounds gives the round count
+    at which the error must hit its floor.
     """
 
     weights: list[Array]
     errors: list[float]
-    t_predicted: int
 
 
 def least_squares(x, y) -> Array:
@@ -226,11 +207,11 @@ def irreducible_error(problem: RegressionProblem) -> float:
 def _check_correction_rank(problem: RegressionProblem, rank: int) -> None:
     if rank < 1:
         raise InvalidInputError(f"rank must be >= 1, got {rank}")
-    if rank > problem.rank_budget():
+    d, p = problem.w0.shape
+    if rank > min(d, p):
         raise RankTooLargeError(
             f"rank {rank} exceeds the admissible budget "
-            f"min(d={problem.d_features}, p={problem.p_targets}) "
-            f"= {problem.rank_budget()}"
+            f"min(d={d}, p={p}) = {min(d, p)}"
         )
 
 
@@ -270,12 +251,12 @@ def lora_error_lower_bound(problem: RegressionProblem, rank: int) -> float:
     """Tail spectral energy no rank-`rank` correction can remove.
 
     Equals sum of sigma_i(e)^2 for i > rank, with e the residual matrix of
-    the problem, truncated at the admissible budget min(d, p). Any
-    correction of rank at most `rank` leaves at least this much error above
-    the irreducible floor, and the closed-form optimum meets it exactly.
+    the problem, whose thin svd has min(d, p) values. Any correction of
+    rank at most `rank` leaves at least this much error above the
+    irreducible floor, and the closed-form optimum meets it exactly.
     """
     _check_correction_rank(problem, rank)
-    s = problem.residual_sigma[:problem.rank_budget()]
+    s = problem.residual_factors.sigma
     return float(np.sum(s[rank:] ** 2))
 
 
@@ -288,7 +269,7 @@ def residual_rank(problem: RegressionProblem) -> int:
     zero instead of promoting its noise floor to full rank. Both anchors
     scale with the data, so scaling y and w0 together keeps the rank.
     """
-    s = problem.residual_sigma
+    s = problem.residual_factors.sigma
     cutoff = RESIDUAL_RANK_TOL * max(s[0], problem.y_norm)
     return int(np.count_nonzero(s > cutoff))
 
@@ -319,7 +300,6 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be >= 0, got {max_steps}")
     s = residual_rank(problem)
-    t_predicted = math.ceil(s / rank)
     w = problem.w0.copy()
     weights = [w]
     errors = [data_error(problem, w)]
@@ -345,7 +325,7 @@ def rosa_exact_iterate(problem: RegressionProblem, rank: int,
             )
         weights.append(w)
         errors.append(err)
-    return RosaTrace(weights=weights, errors=errors, t_predicted=t_predicted)
+    return RosaTrace(weights=weights, errors=errors)
 
 
 def realizable_instance(n: int, d: int, p: int, residual_rank: int,

@@ -56,10 +56,6 @@ class SvdFactors:
     sigma: Array
     v: Array
 
-    @property
-    def rank_bound(self) -> int:
-        return int(self.sigma.size)
-
 
 def svd(w) -> SvdFactors:
     """Thin SVD with a deterministic sign convention.

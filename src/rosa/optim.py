@@ -2,22 +2,19 @@
 
 AdamW updates a network's trainable adapter arrays and biases in place
 from the GradientSet produced by backward, and bumps the network version
-so stale caches are rejected. It keeps its moments for the whole network
-in one flat vector each. The first step fixes their layout from the
-network: each layer's trainable arrays in protocol order, then every bias.
-Each step takes that network only, checks it and its gradients against
-that layout and gathers them in one pass. A key's slice and step count
-are reset when that layer's trainable subspace is re-sampled.
+so stale caches are rejected. It is made for one network and keeps its
+moments for that network in one flat vector each. Construction fixes
+their layout: each layer's trainable arrays in protocol order, then every
+bias. Each step takes that network only, checks it and its gradients
+against that layout and gathers them in one pass. A key's slice and step
+count are reset when that layer's trainable subspace is re-sampled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
-from .linalg import Array
 from .network import GradientSet, Mlp
 
 # The one recipe: Adam's moment decays and the denominator's epsilon.
@@ -26,29 +23,30 @@ BETA2 = 0.98
 EPSILON = 1e-6
 
 
-@dataclass
-class _FlatState:
-    """AdamW state for a whole network: one flat vector per quantity.
+class AdamW:
+    """Adam with bias-corrected moments: AdamW at zero weight decay.
 
-    layout holds (layer, name, shape, slice) per key: every layer's
-    trainable arrays in protocol order, then every layer's bias, so the
-    keys a factorize event resets lie next to each other. net is the
-    network the layout was fixed from; t holds each key's step count. g and
-    u are scratch, g for the flat gradient and u for the update; u_views
-    are u's per-key slices shaped like the parameters.
+    AdamW(net, learning_rate) serves net alone. The learning rate is the one
+    setting; the moment decays and epsilon are the recipe's BETA1, BETA2 and
+    EPSILON.
+
+    Construction fixes the layout of one flat moment pair over every
+    trainable array of net. layout holds (layer, name, shape, slice) per
+    key: every layer's trainable arrays in protocol order, then every
+    layer's bias, so the keys a factorize event resets lie next to each
+    other. t holds each key's step count for the bias correction. g and u
+    are scratch, g for the flat gradient and u for the update; u_views are
+    u's per-key slices shaped like the parameters. A step on any other Mlp,
+    even a copy, or with gradients that differ from that layout raises
+    ContractViolationError before anything changes.
     """
 
-    layout: tuple
-    net: Mlp
-    t: list
-    m: Array
-    v: Array
-    g: Array
-    u: Array
-    u_views: list
-
-    @classmethod
-    def allocate(cls, net: Mlp) -> "_FlatState":
+    def __init__(self, net: Mlp, learning_rate: float):
+        if not 0.0 < learning_rate < np.inf:
+            raise InvalidInputError(
+                f"learning_rate must be finite and > 0, got {learning_rate}")
+        self.net = net
+        self.learning_rate = learning_rate
         keys = [(i, name, p) for i, layer in enumerate(net.layers)
                 for name, p in layer.adapter.trainable_arrays().items()]
         keys += [(i, "bias", layer.bias) for i, layer in enumerate(net.layers)]
@@ -56,44 +54,17 @@ class _FlatState:
         for i, name, p in keys:
             layout.append((i, name, p.shape, slice(start, start + p.size)))
             start += p.size
-        u = np.zeros(start)
-        return cls(
-            layout=tuple(layout), net=net, t=[0] * len(layout),
-            m=np.zeros(start), v=np.zeros(start), g=np.zeros(start), u=u,
-            u_views=[u[sl].reshape(shape) for _, _, shape, sl in layout],
-        )
-
-
-@dataclass
-class AdamW:
-    """Adam with bias-corrected moments: AdamW at zero weight decay.
-
-    The learning rate is the one setting; the moment decays and epsilon
-    are the recipe's BETA1, BETA2 and EPSILON.
-
-    The first step fixes the layout of one flat moment pair over every
-    trainable array of the network; each array keeps its own step count for
-    the bias correction. One optimizer serves one network: a step on any
-    other Mlp, even a copy, or with gradients that differ from that layout
-    raises ContractViolationError before anything changes.
-    """
-
-    learning_rate: float
-    _flat: _FlatState | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise InvalidInputError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        self.layout = tuple(layout)
+        self.t = [0] * len(layout)
+        self.m, self.v, self.g, self.u = (np.zeros(start) for _ in range(4))
+        self.u_views = [self.u[sl].reshape(shape) for _, _, shape, sl in layout]
 
     # step and reset_moments stay defined on this class: perfbench/spans.py wraps them here.
     def step(self, net: Mlp, grads: GradientSet) -> None:
-        st = self._flat or _FlatState.allocate(net)
-        if net is not st.net:
+        if net is not self.net:
             raise ContractViolationError("one optimizer serves one network: "
-                                         "its layout was fixed from another")
-        layers = st.layout[-1][0] + 1  # the last key is the last layer's bias
+                                         "it was made for another")
+        layers = self.layout[-1][0] + 1  # the last key is the last layer's bias
         if not len(grads.layers) == len(net.layers) == layers:
             raise ContractViolationError(
                 f"gradient set covers {len(grads.layers)} layers, network has "
@@ -102,7 +73,7 @@ class AdamW:
         arrays = [{**layer.adapter.trainable_arrays(), "bias": layer.bias}
                   for layer in net.layers]
         params, flat_grads = [], []
-        for i, name, shape, _ in st.layout:
+        for i, name, shape, _ in self.layout:
             p, g = arrays[i].get(name), grads.layers[i].get(name)
             if p is None or g is None or not p.shape == g.shape == shape:
                 raise ContractViolationError(
@@ -113,16 +84,15 @@ class AdamW:
             params.append(p)
             flat_grads.append(g)
         # Every layout key was found in both, so equal counts mean equal keys.
-        n = len(st.layout)
+        n = len(self.layout)
         if sum(map(len, arrays)) != n or sum(map(len, grads.layers)) != n:
             raise ContractViolationError(
                 f"trainable keys {[sorted(a) for a in arrays]} and gradient keys "
                 f"{[sorted(g) for g in grads.layers]} do not both match the "
                 f"optimizer layout's {n} keys; one optimizer serves one network"
             )
-        self._flat = st
-        st.t = ts = [t + 1 for t in st.t]
-        m, v, g, u = st.m, st.v, st.g, st.u
+        self.t = ts = [t + 1 for t in self.t]
+        m, v, g, u = self.m, self.v, self.g, self.u
         b1, b2, lr = BETA1, BETA2, self.learning_rate
         np.concatenate(flat_grads, axis=None, out=g)
         # Element by element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
@@ -140,7 +110,7 @@ class AdamW:
         for k, t in enumerate(ts):
             if k + 1 < len(ts) and ts[k + 1] == t:
                 continue
-            run = slice(start, st.layout[k][3].stop)
+            run = slice(start, self.layout[k][3].stop)
             np.divide(m[run], 1.0 - b1 ** t, out=g[run])
             np.divide(v[run], 1.0 - b2 ** t, out=u[run])
             start = run.stop
@@ -148,7 +118,7 @@ class AdamW:
         np.sqrt(u, out=u)
         u += EPSILON
         np.divide(g, u, out=u)
-        for p, update in zip(params, st.u_views):
+        for p, update in zip(params, self.u_views):
             p -= update
         net.bump()
 
@@ -156,11 +126,10 @@ class AdamW:
         """Zero the moments and step count of the named parameters of one layer.
 
         Used when a subspace re-sample makes the accumulated statistics
-        meaningless. Unknown keys are ignored (nothing accumulated yet).
+        meaningless. Keys the layout does not hold are ignored.
         """
-        st = self._flat
-        for k, (i, name, _, sl) in enumerate(st.layout if st else ()):
+        for k, (i, name, _, sl) in enumerate(self.layout):
             if i == layer_index and name in names:
-                st.m[sl] = 0.0
-                st.v[sl] = 0.0
-                st.t[k] = 0
+                self.m[sl] = 0.0
+                self.v[sl] = 0.0
+                self.t[k] = 0

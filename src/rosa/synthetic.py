@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .linalg import Array
 from .network import Mlp, build_mlp, predict
 
@@ -34,6 +34,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if len(self.layer_dims) < 2:
             raise ConfigError("layer_dims", f"need at least 2 dims, got {self.layer_dims}")
         if any(d < 1 for d in self.layer_dims):

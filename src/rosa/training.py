@@ -17,7 +17,8 @@ import numpy as np
 from . import linalg
 from .adapters import (full_init, ia3_init, lora_init, matrix_param_count,
                        rosa_init, trainable_reduction)
-from .errors import ConfigError, ContractViolationError, NumericError
+from .errors import (ConfigError, ContractViolationError, NumericError,
+                     check_field_types)
 from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
 from .linalg import SamplingScheme, numerical_rank, svd_each
@@ -50,6 +51,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name, choices in CHOICES.items():
             value = str(getattr(self, name)).lower()
             if value not in choices:
@@ -177,7 +179,7 @@ def run_training(config: TrainConfig, task: SyntheticTask) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     net = adapt_network(task.base, config, rng)
     initial_net = net.copy()
-    optimizer = AdamW(learning_rate=config.lr)
+    optimizer = AdamW(net, config.lr)
     n = task.x_train.shape[1]
     batch = min(config.batch_size, n)
     schedule_on = config.method == "rosa" and config.ablation == "full"

@@ -391,10 +391,10 @@ def test_12_memory_parity_with_lora(capsys):
     def held(method, rank):
         config = TrainConfig(method=method, rank=rank, epochs=1)
         net = adapt_network(task.base, config, np.random.default_rng(0))
-        optimizer = AdamW(learning_rate=config.lr)
+        optimizer = AdamW(net, config.lr)
         pred, cache = forward(net, x)
         optimizer.step(net, backward(net, cache, mse_loss_gradient(pred, y)))
-        return adapter_bytes(net), optimizer._flat.m.size
+        return adapter_bytes(net), optimizer.m.size
 
     ft_bytes, _ = held("ft", None)
     if ft_bytes != 65_536:

@@ -64,9 +64,12 @@ class TestProblemValidation:
 
     def test_properties(self):
         p = random_instance(10, 4, 3, seed=0)
-        assert p.d_features == 4
-        assert p.p_targets == 3
-        assert p.rank_budget() == 3
+        assert p.w0.shape == (4, 3)
+        assert min(p.w0.shape) == 3
+        with pytest.raises(RankTooLargeError,
+                           match=r"^rank 4 exceeds the admissible budget "
+                                 r"min\(d=4, p=3\) = 3$"):
+            predicted_rounds(p, 4)
 
 
 class TestLeastSquares:
@@ -224,7 +227,7 @@ class TestGreedyIteration:
     def test_converges_at_predicted_round(self):
         p = realizable_instance(30, 10, 6, residual_rank=6, seed=21)
         trace = rosa_exact_iterate(p, rank=2, max_steps=4)
-        assert trace.t_predicted == 3
+        assert predicted_rounds(p, 2) == 3
         start = trace.errors[0]
         assert trace.errors[3] <= 1e-12 * start
         assert trace.errors[2] > 1e-6 * start
@@ -232,7 +235,7 @@ class TestGreedyIteration:
     def test_rank_one_walks_every_direction(self):
         p = realizable_instance(20, 6, 5, residual_rank=4, seed=22)
         trace = rosa_exact_iterate(p, rank=1, max_steps=6)
-        assert trace.t_predicted == 4
+        assert predicted_rounds(p, 1) == 4
         start = trace.errors[0]
         # Strict progress each round until exhaustion, then flat at zero.
         for t in range(4):
@@ -351,8 +354,9 @@ class TestCachedFactors:
         assert np.array_equal(r, np.triu(r))
         assert np.allclose(r.T @ r, p.x.T @ p.x, atol=1e-10)
         direct = singular_values(p.x @ (p.w_ls - p.w0))
-        assert p.residual_sigma.shape == (4,)
-        assert np.allclose(p.residual_sigma, direct, rtol=1e-12, atol=0.0)
+        sigma = p.residual_factors.sigma
+        assert sigma.shape == (4,)
+        assert np.allclose(sigma, direct, rtol=1e-12, atol=0.0)
 
     def test_q_factor(self):
         p = random_instance(15, 6, 4, seed=38)
@@ -385,14 +389,14 @@ class TestCachedFactors:
         # p > d: R @ move is d x p, so the spectrum has d entries, the
         # admissible budget, where x @ move would add p - d roundoff zeros.
         p = random_instance(20, 4, 7, seed=36)
-        assert p.residual_sigma.shape == (4,)
+        assert p.residual_factors.sigma.shape == (4,)
         a, b = rrr_optimum(p, 4)
         assert np.allclose(p.w0 + a @ b, p.w_ls, atol=1e-9)
         assert lora_error_lower_bound(p, 4) == 0.0
 
     def test_cached_arrays_read_only(self):
         p = random_instance(10, 4, 3, seed=37)
-        for arr in (p.w_ls, p.x_q, p.x_r, p.residual_sigma):
+        for arr in (p.w_ls, p.x_q, p.x_r, p.residual_factors.sigma):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -447,7 +451,7 @@ class TestNoiseInjection:
         assert noisy.x_q is base.x_q
         assert noisy.x_r is base.x_r
         assert noisy.w_ls is base.w_ls
-        assert noisy.residual_sigma is base.residual_sigma
+        assert noisy.residual_factors.sigma is base.residual_factors.sigma
 
     def test_no_second_rank_check(self, monkeypatch):
         base = realizable_instance(20, 6, 4, residual_rank=2, seed=49)
@@ -569,7 +573,7 @@ class TestDecompositionCount:
             width = max(residual_rank(problem), rank)
             traces.append((calls[before:], len(trace.errors) - 1,
                            solve_shapes[shapes_before:],
-                           (problem.d_features, width)))
+                           (problem.w0.shape[0], width)))
             return trace
 
         monkeypatch.setattr(RegressionProblem, "__post_init__", counting_post_init)
@@ -587,7 +591,7 @@ class TestDecompositionCount:
                    for during, rounds, _, _ in traces)
         assert all(shapes == [want] * (rounds - 1)
                    for _, rounds, shapes, want in traces)
-        assert all(want[1] < built[0].p_targets for *_, want in traces)
+        assert all(want[1] < built[0].w0.shape[1] for *_, want in traces)
         # One residual svd for the base problem, none for the noisy copy,
         # which shares it.
         assert calls.count("svd") == 1
@@ -683,8 +687,8 @@ class TestRightFactorRoute:
         for r in ranks:
             _, b = rrr_optimum(prob, r)
             assert np.allclose(b.T @ b, vt[:r].T @ vt[:r], rtol=0.0, atol=1e-10)
-        assert np.allclose(prob.residual_sigma, sigma[:budget], rtol=1e-12,
-                           atol=1e-12 * sigma[0])
+        assert np.allclose(prob.residual_factors.sigma, sigma[:budget],
+                           rtol=1e-12, atol=1e-12 * sigma[0])
 
     @pytest.mark.parametrize("shape", [*SHAPES.values(), (300, 128, 64)],
                              ids=[*SHAPES, "bench"])

@@ -223,7 +223,7 @@ class TestCacheDiscipline:
         y = rng_for(32).standard_normal((3, 3))
         pred, cache = forward(net, x)
         grads = backward(net, cache, mse_loss_gradient(pred, y))
-        AdamW(0.1).step(net, grads)
+        AdamW(net, 0.1).step(net, grads)
         with pytest.raises(ContractViolationError):
             backward(net, cache, mse_loss_gradient(pred, y))
 
@@ -232,7 +232,7 @@ class TestCacheDiscipline:
         x = rng_for(34).standard_normal((4, 3))
         y = rng_for(35).standard_normal((3, 3))
         pred, cache = forward(net, x)
-        AdamW(0.1).step(net, backward(net, cache, mse_loss_gradient(pred, y)))
+        AdamW(net, 0.1).step(net, backward(net, cache, mse_loss_gradient(pred, y)))
         pred2, cache2 = forward(net, x)
         backward(net, cache2, mse_loss_gradient(pred2, y))
 
@@ -324,7 +324,7 @@ class TestAdapterProtocol:
         x = rng_for(64).standard_normal((4, 32))
         y = rng_for(65).standard_normal((3, 32))
         start = [layer.adapter.s.copy() for layer in net.layers[1:]]
-        opt = AdamW(learning_rate=1e-2)
+        opt = AdamW(net, learning_rate=1e-2)
         losses = []
         for _ in range(200):
             pred, cache = forward(net, x)

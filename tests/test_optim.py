@@ -35,7 +35,7 @@ class TestAdamWAgainstReference:
         rng = np.random.default_rng(1)
         w0 = rng.standard_normal((3, 4))
         net = single_layer_net(w0)
-        opt = AdamW(learning_rate=0.01)
+        opt = AdamW(net, learning_rate=0.01)
         grad_seq = [rng.standard_normal((3, 4)) for _ in range(7)]
         for g in grad_seq:
             gs = GradientSet(layers=[{"w": g, "bias": np.zeros(3)}])
@@ -46,7 +46,7 @@ class TestAdamWAgainstReference:
     def test_zero_decay_leaves_stationary_point(self):
         # With zero gradients and no decay the parameter must not move.
         net = single_layer_net([[3.0]])
-        opt = AdamW(learning_rate=0.1)
+        opt = AdamW(net, learning_rate=0.1)
         for _ in range(3):
             opt.step(net, GradientSet(layers=[{"w": np.zeros((1, 1)),
                                                "bias": np.zeros(1)}]))
@@ -55,7 +55,7 @@ class TestAdamWAgainstReference:
     def test_state_separate_per_parameter(self):
         rng = np.random.default_rng(3)
         net = single_layer_net(rng.standard_normal((2, 3)), bias=[1.0, -1.0])
-        opt = AdamW(learning_rate=0.01)
+        opt = AdamW(net, learning_rate=0.01)
         g_w = rng.standard_normal((2, 3))
         bias0 = net.layers[0].bias.copy()
         opt.step(net, GradientSet(layers=[{"w": g_w, "bias": np.zeros(2)}]))
@@ -69,7 +69,7 @@ class TestMomentReset:
         rng = np.random.default_rng(4)
         w0 = rng.standard_normal((2, 2))
         net = single_layer_net(w0)
-        opt = AdamW(learning_rate=0.01)
+        opt = AdamW(net, learning_rate=0.01)
         pre = [rng.standard_normal((2, 2)) for _ in range(4)]
         post = [rng.standard_normal((2, 2)) for _ in range(3)]
         for g in pre:
@@ -87,7 +87,7 @@ class TestMomentReset:
         rng = np.random.default_rng(5)
         w0 = rng.standard_normal((2, 2))
         net = single_layer_net(w0)
-        opt = AdamW(learning_rate=0.01)
+        opt = AdamW(net, learning_rate=0.01)
         pre = [rng.standard_normal((2, 2)) for _ in range(4)]
         post = [rng.standard_normal((2, 2)) for _ in range(3)]
         for g in pre:
@@ -99,7 +99,7 @@ class TestMomentReset:
         assert not np.allclose(net.layers[0].adapter.w, fresh, atol=1e-10)
 
     def test_reset_unknown_key_is_noop(self):
-        opt = AdamW(learning_rate=0.01)
+        opt = AdamW(single_layer_net([[1.0]]), learning_rate=0.01)
         opt.reset_moments(3, ("a", "b"))
 
 
@@ -108,25 +108,25 @@ class TestAlignment:
         net = single_layer_net([[1.0]])
         bad = GradientSet(layers=[{"w": np.zeros((1, 1))}])
         with pytest.raises(ContractViolationError):
-            AdamW(0.1).step(net, bad)
+            AdamW(net, 0.1).step(net, bad)
 
     def test_extra_key_rejected(self):
         net = single_layer_net([[1.0]])
         bad = GradientSet(layers=[{"w": np.zeros((1, 1)), "bias": np.zeros(1),
                                    "extra": np.zeros(1)}])
         with pytest.raises(ContractViolationError):
-            AdamW(0.1).step(net, bad)
+            AdamW(net, 0.1).step(net, bad)
 
     def test_shape_mismatch_rejected(self):
         net = single_layer_net([[1.0, 2.0]])
         bad = GradientSet(layers=[{"w": np.zeros((2, 2)), "bias": np.zeros(1)}])
         with pytest.raises(ContractViolationError):
-            AdamW(0.1).step(net, bad)
+            AdamW(net, 0.1).step(net, bad)
 
     def test_layer_count_mismatch_rejected(self):
         net = single_layer_net([[1.0]])
         with pytest.raises(ContractViolationError):
-            AdamW(0.1).step(net, GradientSet(layers=[]))
+            AdamW(net, 0.1).step(net, GradientSet(layers=[]))
 
 
 class TestHyperparamValidation:
@@ -148,7 +148,7 @@ class TestHyperparamValidation:
     def test_rejected(self, kwargs):
         error = TypeError if len(kwargs) > 1 else InvalidInputError
         with pytest.raises(error):
-            AdamW(**kwargs)
+            AdamW(single_layer_net([[1.0]]), **kwargs)
 
 
 def test_adamw_updates_rosa_pair_in_place():
@@ -158,7 +158,7 @@ def test_adamw_updates_rosa_pair_in_place():
                                  activation=Activation.IDENTITY)])
     a_before = ad.a.copy()
     b_before = ad.b.copy()
-    opt = AdamW(learning_rate=0.01)
+    opt = AdamW(net, learning_rate=0.01)
     opt.step(net, grads_for(net, 7))
     assert not np.allclose(ad.a, a_before)
     assert not np.allclose(ad.b, b_before)
@@ -190,7 +190,7 @@ class TestFlatAdamWAgainstLoop:
     @pytest.mark.parametrize("with_resets", [False, True])
     def test_bitwise_equal(self, with_resets):
         flat_net, loop_net = rosa_bias_net(11), rosa_bias_net(11)
-        flat, loop = AdamW(0.03), LoopAdamW(0.03)
+        flat, loop = AdamW(flat_net, 0.03), LoopAdamW(0.03)
         for step in range(9):
             for layer_index, names in (self.RESETS.get(step, ())
                                        if with_resets else ()):
@@ -208,7 +208,8 @@ class TestFlatAdamWAgainstLoop:
         x = rng.standard_normal((6, 10))
         y = rng.standard_normal((5, 10))
         flat_net, loop_net = rosa_bias_net(12), rosa_bias_net(12)
-        flat, loop = AdamW(learning_rate=0.01), LoopAdamW(learning_rate=0.01)
+        flat = AdamW(flat_net, learning_rate=0.01)
+        loop = LoopAdamW(learning_rate=0.01)
         for step in range(6):
             if step == 3:
                 flat.reset_moments(1, ("a", "b"))
@@ -221,7 +222,7 @@ class TestFlatAdamWAgainstLoop:
 
     def test_key_order_does_not_matter(self):
         first, second = rosa_bias_net(13), rosa_bias_net(13)
-        opt_first, opt_second = AdamW(0.01), AdamW(0.01)
+        opt_first, opt_second = AdamW(first, 0.01), AdamW(second, 0.01)
         for step in range(3):
             grads = grads_for(first, 200 + step)
             reordered = GradientSet(layers=[dict(reversed(list(d.items())))
@@ -236,32 +237,32 @@ class TestFlatLayout:
     def test_biases_follow_matrix_keys(self):
         # A factorize event resets every layer's (a, b) together: with the
         # biases last, those keys form one run of equal step counts.
-        opt = AdamW(learning_rate=0.01)
         net = rosa_bias_net(15)
+        opt = AdamW(net, learning_rate=0.01)
         opt.step(net, grads_for(net, 0))
-        keys = [(i, name) for i, name, _, _ in opt._flat.layout]
+        keys = [(i, name) for i, name, _, _ in opt.layout]
         assert keys == [(0, "a"), (0, "b"), (1, "a"), (1, "b"),
                         (0, "bias"), (1, "bias")]
 
     def test_other_network_shape_rejected(self):
-        opt = AdamW(learning_rate=0.01)
         net = rosa_bias_net(14)
+        opt = AdamW(net, learning_rate=0.01)
         opt.step(net, grads_for(net, 0))
         other = single_layer_net(np.ones((2, 3)))
         with pytest.raises(ContractViolationError):
             opt.step(other, grads_for(other, 1))
 
     def test_same_keys_new_shape_rejected(self):
-        opt = AdamW(learning_rate=0.01)
         net = single_layer_net(np.ones((2, 3)))
+        opt = AdamW(net, learning_rate=0.01)
         opt.step(net, grads_for(net, 0))
         wider = single_layer_net(np.ones((2, 4)))
         with pytest.raises(ContractViolationError):
             opt.step(wider, grads_for(wider, 1))
 
     def test_different_keys_rejected(self):
-        opt = AdamW(learning_rate=0.01)
         net = single_layer_net(np.ones((2, 2)))
+        opt = AdamW(net, learning_rate=0.01)
         opt.step(net, grads_for(net, 0))
         for ad in (rosa_init(np.eye(2), rank=1, rng=np.random.default_rng(0)),
                    ia3_init(np.eye(2))):
@@ -269,6 +270,24 @@ class TestFlatLayout:
                                              activation=Activation.IDENTITY)])
             with pytest.raises(ContractViolationError):
                 opt.step(swapped, grads_for(swapped, 1))
+
+    # The optimizer's own network edited in place: the layout checks, not
+    # the identity check, catch it.
+    @pytest.mark.parametrize("edit", [
+        lambda layers: layers.pop(),
+        lambda layers: layers.__setitem__(1, single_layer_net(
+            layers[1].adapter.effective_weight(), layers[1].bias).layers[0]),
+        lambda layers: setattr(layers[1], "adapter", rosa_init(
+            layers[1].adapter.effective_weight(), rank=3,
+            rng=np.random.default_rng(0))),
+    ], ids=["fewer_layers", "other_keys", "other_shapes"])
+    def test_own_network_edited_rejected(self, edit):
+        net = rosa_bias_net(17)
+        opt = AdamW(net, learning_rate=0.01)
+        opt.step(net, grads_for(net, 0))
+        edit(net.layers)
+        with pytest.raises(ContractViolationError, match="layout"):
+            opt.step(net, grads_for(net, 1))
 
 
 def with_layer(grads: GradientSet, i: int, **changes) -> GradientSet:
@@ -280,10 +299,9 @@ def with_layer(grads: GradientSet, i: int, **changes) -> GradientSet:
 
 
 # The bad calls on a rosa_bias_net (layers 8x6 and 5x8, rank 2). A gradient
-# case edits the net's own gradients, so it is bad on any step. A network
-# case steps another network with its own well-formed gradients, so it is
-# bad only against the layout an earlier step fixed; it shares the arrays
-# of the layers it keeps.
+# case edits the net's own gradients. A network case steps another network
+# with its own well-formed gradients; it shares the arrays of the layers it
+# keeps. Both are bad on any step, the first included.
 GRADIENT_CASES = {
     "fewer_gradient_layers": lambda g: GradientSet(layers=g.layers[:1]),
     "missing_key": lambda g: with_layer(g, 1, bias=None),
@@ -313,7 +331,7 @@ class TestRejectedStepChangesNothing:
 
     def check(self, steps_before: int, bad_call):
         net, twin_net = rosa_bias_net(16), rosa_bias_net(16)
-        opt, twin = AdamW(**self.KWARGS), AdamW(**self.KWARGS)
+        opt, twin = AdamW(net, **self.KWARGS), AdamW(twin_net, **self.KWARGS)
         for step in range(steps_before):
             if step == 1:
                 opt.reset_moments(0, ("a", "b"))
@@ -324,26 +342,21 @@ class TestRejectedStepChangesNothing:
         nets = (net, bad_net) if bad_net is not net else (net,)
         before = [[a.copy() for a in net_arrays(n)] for n in nets]
         versions = [n.version for n in nets]
-        flat = opt._flat
-        state = None if flat is None else (flat.m.copy(), flat.v.copy(), list(flat.t))
+        m, v, t = opt.m.copy(), opt.v.copy(), list(opt.t)
         with pytest.raises(ContractViolationError):
             opt.step(bad_net, bad_grads)
         for n, arrays, version in zip(nets, before, versions):
             assert all(np.array_equal(a, b) for a, b in zip(net_arrays(n), arrays))
             assert n.version == version
-        if state is None:
-            assert opt._flat is None
-        else:
-            assert opt._flat is flat
-            assert np.array_equal(flat.m, state[0])
-            assert np.array_equal(flat.v, state[1])
-            assert flat.t == state[2]
+        assert np.array_equal(opt.m, m)
+        assert np.array_equal(opt.v, v)
+        assert opt.t == t
         opt.step(net, grads_for(net, 500))
         twin.step(twin_net, grads_for(twin_net, 500))
         for got, want in zip(net_arrays(net), net_arrays(twin_net)):
             assert np.array_equal(got, want)
         for name in ("m", "v", "t"):
-            assert np.array_equal(getattr(opt._flat, name), getattr(twin._flat, name))
+            assert np.array_equal(getattr(opt, name), getattr(twin, name))
 
     @pytest.mark.parametrize("steps_before", [0, 3])
     @pytest.mark.parametrize("case", GRADIENT_CASES)
@@ -351,13 +364,16 @@ class TestRejectedStepChangesNothing:
         self.check(steps_before,
                    lambda net: (net, GRADIENT_CASES[case](grads_for(net, 400))))
 
-    @pytest.mark.parametrize("case", NETWORK_CASES)
-    def test_other_network(self, case):
+    # A case alone runs after three steps, "<case>-0" on the first step.
+    @pytest.mark.parametrize("case, steps_before", [
+        pytest.param(case, steps, id=f"{case}-0" if steps == 0 else case)
+        for steps in (3, 0) for case in NETWORK_CASES])
+    def test_other_network(self, case, steps_before):
         def bad_call(net):
             other = NETWORK_CASES[case](net)
             return other, grads_for(other, 400)
 
-        self.check(3, bad_call)
+        self.check(steps_before, bad_call)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (4, 1000)])

@@ -73,6 +73,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(method="ft", lr=-0.1)
 
+    # Python callers get the type check the CLI's JSON values get.
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(method="rosa", rank=2, factorize_every=1.5, epochs=4),
+         "config field 'factorize_every': must be int, got 1.5"),
+        (dict(method="ft", epochs=1.5), "config field 'epochs': must be int, got 1.5"),
+        (dict(method="rosa", rank=True),
+         "config field 'rank': must be int | None, got True"),
+    ], ids=["factorize_every", "epochs", "rank"])
+    def test_mistyped_value(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(**kwargs)
+        assert str(info.value) == message
 
 
 class TestSyntheticTask:
@@ -115,6 +127,13 @@ class TestSyntheticTask:
             SyntheticSpec(n_train=0)
         with pytest.raises(ConfigError):
             SyntheticSpec(layer_dims=(4,))
+
+    def test_mistyped_value(self):
+        with pytest.raises(ConfigError) as info:
+            SyntheticSpec(drift_rank=2.0)
+        assert str(info.value) == "config field 'drift_rank': must be int, got 2.0"
+        # A tuple field takes a tuple or a list.
+        assert SyntheticSpec(layer_dims=[6, 8, 4], drift_rank=2).drift_rank == 2
 
 
 class TestAdaptNetwork:

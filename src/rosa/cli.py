@@ -4,7 +4,7 @@ Subcommands: train, theorem, spectrum, and the grids ablate, schemes and
 compare. Configuration for training comes from an optional JSON file (keys
 mirror TrainConfig, with an optional "data" object mirroring SyntheticSpec)
 plus flag overrides; flags win; a grid reads only "data". TrainConfig and
-SyntheticSpec check each value against its field's type. Exit codes:
+SyntheticSpec check each value against its field's type and bound. Exit codes:
 0 success, 2 bad configuration (or one too large for memory), 3 numeric
 failure, 4 I/O or file-format failure, 130 interrupted (Ctrl-C).
 """
@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,51 +28,57 @@ from .experiments import (run_ablation_grid, run_method_comparison,
                           write_spectrum_csv)
 from .fileio import write_json
 from .synthetic import SyntheticSpec, SyntheticTask, generate_synthetic
-from .training import (CHOICES, TrainConfig, run_training,
-                       write_metrics_csv, write_summary_json)
+from .training import (TrainConfig, run_training, write_metrics_csv,
+                       write_summary_json)
 
 
-def _typed_fields(cls, raw: dict, what: str) -> dict:
-    """Keyword arguments for dataclass cls from one JSON object: JSON lists
-    become tuples; an unknown key raises ConfigError naming it. cls checks
-    each value's type itself."""
+def _check_known(cls, raw: dict, what: str) -> None:
+    """Raise ConfigError naming a key of raw that is no field of dataclass
+    cls; cls checks each value itself."""
     unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(sorted(unknown)[0], f"unknown {what}")
-    return {key: tuple(value) if isinstance(value, list) else value
-            for key, value in raw.items()}
 
 
-def _data_fields(data_cfg) -> dict:
-    if not isinstance(data_cfg, dict):
+def _read_config(args) -> tuple[dict, SyntheticSpec]:
+    """The training keys of the --config file, if any, and the task its
+    "data" object describes.
+
+    A grid fixes its own training configs, so its config file may hold only
+    a "data" object; any other top-level key raises ConfigError.
+    """
+    raw = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError("config", f"file not found: {args.config}") from exc
+        # Bad JSON or UTF-8, a too long int, or nesting too deep to parse.
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError("config", f"not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config", "top level must be a JSON object")
+    data = raw.pop("data", {})
+    if args.command == "train":
+        _check_known(TrainConfig, raw, "config field")
+    elif raw:
+        raise ConfigError(", ".join(sorted(raw)),
+                          f"not used by '{args.command}', which takes only "
+                          f"a \"data\" object from its config file")
+    if not isinstance(data, dict):
         raise ConfigError("data", "must be a JSON object")
-    return _typed_fields(SyntheticSpec, data_cfg, "data config field")
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError("config", f"file not found: {path}") from exc
-    # Bad JSON or UTF-8, a too long int, or nesting too deep to parse.
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError("config", f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return raw
+    _check_known(SyntheticSpec, data, "data config field")
+    return raw, SyntheticSpec(**data)
 
 
 def _build_configs(args) -> tuple[TrainConfig, SyntheticSpec]:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    data_cfg = file_cfg.pop("data", {})
-    train_cfg = _typed_fields(TrainConfig, file_cfg, "config field")
-    # Built first: a mistyped data value is named before a range error.
-    spec = SyntheticSpec(**_data_fields(data_cfg))
-    # Flags win; each train flag's dest is its TrainConfig field's name.
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    train_cfg.update({key: value for key, value in vars(args).items()
-                      if key in fields and value is not None})
+    # The spec is built first: a mistyped data value is named before a
+    # range error. Flags win; each train flag's dest is its field's name.
+    train_cfg, spec = _read_config(args)
+    train_cfg.update({f.name: getattr(args, f.name)
+                      for f in dataclasses.fields(TrainConfig)
+                      if getattr(args, f.name) is not None})
     return TrainConfig(**train_cfg), spec
 
 
@@ -158,18 +165,8 @@ def cmd_spectrum(args) -> int:
 
 
 def _grid_common(args) -> tuple[SyntheticTask, Path]:
-    """The task of a grid command and its output directory.
-
-    The grid fixes its own training configs, so a config file may hold only
-    a "data" object; any other top-level key raises ConfigError.
-    """
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    ignored = sorted(set(file_cfg) - {"data"})
-    if ignored:
-        raise ConfigError(", ".join(ignored),
-                          f"not used by '{args.command}', which takes only "
-                          f"a \"data\" object from its config file")
-    spec = SyntheticSpec(**_data_fields(file_cfg.get("data", {})))
+    """The task of a grid command and its output directory."""
+    _, spec = _read_config(args)
     out = _ensure_out(args)
     return generate_synthetic(spec), out
 
@@ -236,16 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one adapted network")
     train.add_argument("--config", help="JSON config file")
     train.add_argument("--out", required=True, help="output directory")
-    train.add_argument("--method", choices=CHOICES["method"])
-    train.add_argument("--rank", type=int)
-    train.add_argument("--factorize-every", type=int, dest="factorize_every")
-    train.add_argument("--factorize-unit", choices=CHOICES["factorize_unit"],
-                       dest="factorize_unit")
-    train.add_argument("--scheme", choices=CHOICES["scheme"])
-    train.add_argument("--ablation", choices=CHOICES["ablation"])
-    train.add_argument("--lr", type=float)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--seed", type=int)
+    # One flag per TrainConfig field: --field-name, its dest the field's
+    # name, its type the annotation's (not None), its choices the field's.
+    hints = typing.get_type_hints(TrainConfig)
+    for f in dataclasses.fields(TrainConfig):
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=kind, choices=f.metadata.get("choices"))
     train.set_defaults(func=cmd_train)
 
     theorem = sub.add_parser("theorem", help="run the exact-convergence suite")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the type check of config
+"""Exception types shared across the package, and the check of config
 fields.
 
 Everything raised on purpose derives from RosaError so callers can catch one
@@ -8,6 +8,7 @@ base class at the CLI boundary and map it to an exit code.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import types
 import typing
@@ -85,14 +86,39 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def check_field_types(config) -> None:
-    """Raise ConfigError naming the first field of a dataclass instance
-    whose value does not fit the field's annotation."""
+def bounded(default, **bound):
+    """A dataclass field with a default and a bound for check_fields:
+    ge=n (an integer minimum, not applied to None), gt=x (an exclusive
+    minimum of a finite float) or choices=(...) (lower-case strings)."""
+    return dataclasses.field(default=default, metadata=bound)
+
+
+def check_fields(config) -> None:
+    """Check each field of a dataclass instance against its annotation and
+    its declared bound, and store the value normalized: a list as a tuple,
+    a choice lower-cased, an int in a float field as a float. Raise
+    ConfigError naming the first field that fails. Stores go through
+    object.__setattr__, so a frozen dataclass is checked the same way."""
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
+        value, bound = getattr(config, f.name), f.metadata
         if not _fits(value, hints[f.name]):
             raise ConfigError(f.name, f"must be {f.type}, got {value!r}")
+        if "choices" in bound:
+            value = value.lower()
+            if value not in bound["choices"]:
+                raise ConfigError(
+                    f.name, f"must be one of {bound['choices']}, got {value!r}")
+        if "ge" in bound and value is not None and value < bound["ge"]:
+            raise ConfigError(f.name, f"must be >= {bound['ge']}, got {value}")
+        if "gt" in bound and not bound["gt"] < value < math.inf:
+            raise ConfigError(
+                f.name, f"must be finite and > {bound['gt']}, got {value}")
+        if isinstance(value, list):
+            value = tuple(value)
+        elif hints[f.name] is float:
+            value = float(value)
+        object.__setattr__(config, f.name, value)
 
 
 class CheckpointFormatError(RosaError):

@@ -27,7 +27,7 @@ from .fileio import atomic_open
 from .linalg import singular_values
 from .network import Mlp
 from .synthetic import SyntheticTask
-from .training import CHOICES, TrainConfig, TrainResult, run_training
+from .training import TrainConfig, TrainResult, run_training
 
 # Default learning-rate grid for best-of sweeps.
 LR_GRID = (2e-2, 2e-3, 2e-4, 2e-5)
@@ -293,7 +293,7 @@ def run_ablation_grid(task: SyntheticTask, rank: int, *, epochs: int,
     validation losses is reported, not asserted, since it is a stochastic
     tendency rather than a guarantee.
     """
-    variants = CHOICES["ablation"][::-1]  # the weakest variant first
+    variants = ("svd_init_only", "svd_init_factorize", "full")  # weakest first
     bases = [TrainConfig(method="lora", rank=rank, epochs=epochs, seed=seed)]
     bases += [TrainConfig(method="rosa", rank=rank, ablation=variant,
                           epochs=epochs, seed=seed) for variant in variants]

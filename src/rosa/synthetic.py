@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, bounded, check_fields
 from .linalg import Array
 from .network import Mlp, build_mlp, predict
 
@@ -29,30 +29,23 @@ class SyntheticSpec:
 
     layer_dims: tuple[int, ...] = (64, 64, 64)
     drift_rank: int = 24
-    n_train: int = 1024
-    n_val: int = 256
-    seed: int = 0
+    n_train: int = bounded(1024, ge=1)
+    n_val: int = bounded(256, ge=1)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if len(self.layer_dims) < 2:
-            raise ConfigError("layer_dims", f"need at least 2 dims, got {self.layer_dims}")
-        if any(d < 1 for d in self.layer_dims):
-            raise ConfigError("layer_dims", f"dims must be positive, got {self.layer_dims}")
-        narrowest = min(min(self.layer_dims[i], self.layer_dims[i + 1])
-                        for i in range(len(self.layer_dims) - 1))
+        check_fields(self)
+        dims = self.layer_dims
+        if len(dims) < 2 or min(dims) < 1:
+            raise ConfigError("layer_dims",
+                              f"need at least 2 dims, all positive, got {dims}")
+        narrowest = min(min(a, b) for a, b in zip(dims, dims[1:]))
         if not 1 <= self.drift_rank <= narrowest:
             raise ConfigError(
                 "drift_rank",
-                f"must be in [1, {narrowest}] for dims {self.layer_dims}, "
+                f"must be in [1, {narrowest}] for dims {dims}, "
                 f"got {self.drift_rank}",
             )
-        if self.n_train < 1:
-            raise ConfigError("n_train", f"must be >= 1, got {self.n_train}")
-        if self.n_val < 1:
-            raise ConfigError("n_val", f"must be >= 1, got {self.n_val}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass

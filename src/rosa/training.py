@@ -18,7 +18,7 @@ from . import linalg
 from .adapters import (full_init, ia3_init, lora_init, matrix_param_count,
                        rosa_init, trainable_reduction)
 from .errors import (ConfigError, ContractViolationError, NumericError,
-                     check_field_types)
+                     bounded, check_fields)
 from .fileio import atomic_open, write_json
 # perfbench/spans.py wraps these names (and adapt_network) on this module; keep all.
 from .linalg import SamplingScheme, numerical_rank, svd_each
@@ -27,56 +27,35 @@ from .network import (DenseLayer, Mlp, backward, forward, mse_loss,  # noqa: F40
 from .optim import AdamW
 from .synthetic import SyntheticTask
 
-# The values of each choice field of TrainConfig; the `rosa train` flags
-# offer the same lists.
-CHOICES = {
-    "method": ("ft", "lora", "rosa", "ia3"),
-    "factorize_unit": ("steps", "epochs"),
-    "scheme": tuple(s.value for s in SamplingScheme),
-    "ablation": ("full", "svd_init_factorize", "svd_init_only"),
-}
-
-
 @dataclass
 class TrainConfig:
-    method: str = "rosa"
-    rank: int | None = None
-    factorize_every: int = 1
-    factorize_unit: str = "epochs"
-    scheme: str = "random"
-    ablation: str = "full"
-    lr: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 128
-    seed: int = 0
+    """One training run. Each field's type and bound are checked, and the
+    value normalized, by errors.check_fields; __post_init__ adds the rules
+    that tie fields together."""
+
+    method: str = bounded("rosa", choices=("ft", "lora", "rosa", "ia3"))
+    rank: int | None = bounded(None, ge=1)
+    factorize_every: int = bounded(1, ge=1)
+    factorize_unit: str = bounded("epochs", choices=("steps", "epochs"))
+    scheme: str = bounded("random",
+                          choices=tuple(s.value for s in SamplingScheme))
+    ablation: str = bounded(
+        "full", choices=("full", "svd_init_factorize", "svd_init_only"))
+    lr: float = bounded(1e-3, gt=0)
+    epochs: int = bounded(10, ge=1)
+    batch_size: int = bounded(128, ge=1)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self):
-        check_field_types(self)
-        for name, choices in CHOICES.items():
-            value = str(getattr(self, name)).lower()
-            if value not in choices:
-                raise ConfigError(name, f"must be one of {choices}, got {value!r}")
-            setattr(self, name, value)
+        check_fields(self)
         needs_rank = self.method in ("rosa", "lora")
         if needs_rank and self.rank is None:
             raise ConfigError("rank", f"required for method {self.method!r}")
         if not needs_rank and self.rank is not None:
             raise ConfigError("rank", f"must be omitted for method {self.method!r}")
-        if self.rank is not None and self.rank < 1:
-            raise ConfigError("rank", f"must be >= 1, got {self.rank}")
-        if self.factorize_every < 1:
-            raise ConfigError("factorize_every", f"must be >= 1, got {self.factorize_every}")
         if self.ablation != "full" and self.method != "rosa":
             raise ConfigError("ablation",
                               f"{self.ablation!r} only applies to method 'rosa'")
-        if not 0.0 < self.lr < math.inf:
-            raise ConfigError("lr", f"must be finite and > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -21,6 +23,7 @@ from rosa.cli import main
 from rosa.experiments import run_method_comparison
 from rosa.network import Activation, DenseLayer, Mlp, predict
 from rosa.synthetic import SyntheticSpec, generate_synthetic
+from rosa.training import TrainConfig
 
 from oracles import no_layer_checkpoint
 
@@ -71,13 +74,24 @@ class TestTrain:
         out = tmp_path / "run"
         code = main(["train", "--config", write_config(tmp_path),
                      "--out", str(out), "--epochs", "5", "--method", "lora",
-                     "--rank", "3", "--lr", "0.02"])
+                     "--rank", "3", "--lr", "0.02", "--batch-size", "8"])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["epochs"] == 5
         assert summary["config"]["method"] == "lora"
         assert summary["config"]["rank"] == 3
         assert summary["config"]["lr"] == 0.02
+        assert summary["config"]["batch_size"] == 8
+
+    def test_flags_are_the_config_fields(self):
+        # One flag per TrainConfig field, named by it, beside --config and
+        # --out: a field cannot lose its flag, nor a flag its field.
+        parser = rosa.cli.build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in sub.choices["train"]._actions}
+        assert dests == ({f.name for f in dataclasses.fields(TrainConfig)}
+                         | {"config", "out", "help"})
 
     def test_train_without_config_uses_defaults(self, tmp_path):
         # All-default SyntheticSpec is 64-wide; keep it short.
@@ -165,6 +179,12 @@ class TestExitCodes:
                            data=TINY_DATA)
         assert main(["train", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 0
+        # It is stored as a float, so the file's 1 and the flag's 1 write
+        # the same summary.
+        assert main(["train", "--config", cfg, "--lr", "1",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "o" / "summary.json").read_bytes() == \
+               (tmp_path / "flag" / "summary.json").read_bytes()
 
     def test_invalid_combination_is_2(self, tmp_path):
         code = main(["train", "--method", "ft", "--rank", "4",

@@ -132,8 +132,12 @@ class TestSyntheticTask:
         with pytest.raises(ConfigError) as info:
             SyntheticSpec(drift_rank=2.0)
         assert str(info.value) == "config field 'drift_rank': must be int, got 2.0"
-        # A tuple field takes a tuple or a list.
-        assert SyntheticSpec(layer_dims=[6, 8, 4], drift_rank=2).drift_rank == 2
+        # A tuple field takes a tuple or a list, and stores a tuple.
+        listed = SyntheticSpec(layer_dims=[6, 8, 4], drift_rank=2)
+        assert listed.drift_rank == 2
+        twin = SyntheticSpec(layer_dims=(6, 8, 4), drift_rank=2)
+        assert listed == twin
+        assert hash(listed) == hash(twin)
 
 
 class TestAdaptNetwork:

@@ -10,9 +10,9 @@ Three ways to parameterize an m x n layer weight around a pretrained matrix:
 * FullyTrainable: the whole matrix is trainable (the reference point).
 
 Every kind speaks one protocol, so the network, optimizer, checkpoint and
-training loop never ask which kind a layer is: shape, forward(x),
-effective_weight(), trainable_arrays(); forward_cached(x) ->
-(out before bias, record for backward); backward(rec, dz, need_dx) ->
+training loop never ask which kind a layer is: shape, effective_weight(),
+trainable_arrays(); forward_cached(x) -> (out before bias, record for
+backward), x checked by network.forward; backward(rec, dz, need_dx) ->
 (grads keyed like trainable_arrays(), input gradient or None); record() ->
 (meta, tensors) and the classmethod from_record(meta, fetch), the layer's
 checkpoint record both ways. KINDS maps a record's kind to its class.
@@ -32,25 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, RankTooLargeError, ShapeError
+from .errors import InvalidInputError, RankTooLargeError
 from .linalg import (Array, SamplingScheme, SvdFactors, as_matrix,
                      sample_indices, svd)
 
 _SCHEMES = [s.value for s in SamplingScheme]
 
 
-class _CheckedForward:
-    def forward(self, x) -> Array:
-        """The layer output before bias, for a checked n x batch input."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.shape[1]:
-            raise ShapeError("input batch does not match weight", self.shape,
-                             x.shape)
-        return self.forward_cached(x)[0]
-
-
 @dataclass
-class RosaAdapter(_CheckedForward):
+class RosaAdapter:
     """Weight split w_fixed + a @ b; only a and b receive gradients.
 
     With a scheme, a is m x r (scaled left singular vectors, columns
@@ -92,18 +82,16 @@ class RosaAdapter(_CheckedForward):
     def trainable_arrays(self) -> dict[str, Array]:
         return {"a": self.a, "b": self.b}
 
-    def factorize(self, rng: np.random.Generator | None = None,
-                  factors: SvdFactors | None = None) -> None:
-        """Merge the split, decompose, re-sample the trainable slice.
+    def factorize(self, rng: np.random.Generator | None,
+                  factors: SvdFactors) -> None:
+        """Merge the split and re-sample the trainable slice from factors.
 
-        factors, when given, must be the svd of effective_weight(), taken
-        by the caller (training takes a group of layers' at once with
-        svd_each); otherwise it is computed here. Post: effective_weight()
-        is unchanged up to roundoff. RANDOM scheme consumes from rng.
+        factors must be the svd of effective_weight(), taken by the caller
+        (training takes a group of layers' at once with svd_each, rosa_init
+        the matrix it starts from). Post: effective_weight() is unchanged up
+        to roundoff. RANDOM scheme consumes from rng.
         """
         merged = self.effective_weight()
-        if factors is None:
-            factors = svd(merged)
         idx = sample_indices(self.rank, factors.sigma.size, self.scheme, rng)
         self.a = factors.u[:, idx] * factors.sigma[idx]
         self.b = factors.v[:, idx].T
@@ -134,7 +122,7 @@ class RosaAdapter(_CheckedForward):
 
 
 @dataclass
-class Ia3Adapter(_CheckedForward):
+class Ia3Adapter:
     """Frozen weight with one trainable scale per output unit."""
 
     w_frozen: Array
@@ -169,7 +157,7 @@ class Ia3Adapter(_CheckedForward):
 
 
 @dataclass
-class FullyTrainable(_CheckedForward):
+class FullyTrainable:
     """No adapter: the matrix itself is the trainable parameter."""
 
     w: Array
@@ -235,7 +223,7 @@ def rosa_init(w, rank: int, scheme: SamplingScheme = SamplingScheme.RANDOM,
         rank=rank,
         scheme=scheme,
     )
-    adapter.factorize(rng)
+    adapter.factorize(rng, svd(w))
     if not subtract_at_init:
         adapter.w_fixed = w.copy()
     return adapter

@@ -234,12 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", help="JSON config file")
     train.add_argument("--out", required=True, help="output directory")
     # One flag per TrainConfig field: --field-name, its dest the field's
-    # name, its type the annotation's (not None), its choices the field's.
+    # name, its type the annotation's (not None). TrainConfig checks the
+    # value, as for a config file; a choice's metavar only lists them.
     hints = typing.get_type_hints(TrainConfig)
     for f in dataclasses.fields(TrainConfig):
         kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        choices = f.metadata.get("choices")
         train.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=kind, choices=f.metadata.get("choices"))
+                           type=kind, metavar="{%s}" % ",".join(choices)
+                           if choices else None)
     train.set_defaults(func=cmd_train)
 
     theorem = sub.add_parser("theorem", help="run the exact-convergence suite")

@@ -61,10 +61,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
     def bump(self) -> None:
         """Mark parameters as changed, invalidating outstanding caches."""
         self.version += 1

@@ -11,7 +11,8 @@ from rosa.adapters import (
     trainable_reduction,
 )
 from rosa.errors import InvalidInputError, RankTooLargeError, ShapeError
-from rosa.linalg import SamplingScheme, numerical_rank
+from rosa.linalg import SamplingScheme, numerical_rank, svd
+from rosa.network import Activation, DenseLayer, Mlp, forward
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -66,23 +67,23 @@ class TestFactorize:
         ad.a += 0.3 * rng_for(10).standard_normal(ad.a.shape)
         ad.b += 0.3 * rng_for(11).standard_normal(ad.b.shape)
         x = rng_for(12).standard_normal((6, 20))
-        before = ad.forward(x)
-        ad.factorize(rng_for(13))
-        assert np.allclose(ad.forward(x), before, atol=1e-10)
+        before = ad.forward_cached(x)[0]
+        ad.factorize(rng_for(13), svd(ad.effective_weight()))
+        assert np.allclose(ad.forward_cached(x)[0], before, atol=1e-10)
 
     def test_installs_fresh_slice(self):
         # After training moved (a, b), the re-sampled slice comes from the
         # merged matrix's decomposition, orthonormal rows in b.
         ad = rosa_init(rng_for(17).standard_normal((6, 6)), rank=2, rng=rng_for(18))
         ad.a += rng_for(19).standard_normal(ad.a.shape)
-        ad.factorize(rng_for(20))
+        ad.factorize(rng_for(20), svd(ad.effective_weight()))
         assert np.allclose(ad.b @ ad.b.T, np.eye(2), atol=1e-10)
 
     def test_top_scheme_needs_no_rng(self):
         ad = rosa_init(rng_for(24).standard_normal((5, 5)), rank=2,
                        scheme=SamplingScheme.TOP)
         before = ad.effective_weight()
-        ad.factorize(None)
+        ad.factorize(None, svd(ad.effective_weight()))
         assert np.allclose(ad.effective_weight(), before, atol=1e-10)
         assert np.allclose(ad.b @ ad.b.T, np.eye(2), atol=1e-10)
 
@@ -92,7 +93,7 @@ class TestLora:
         w = rng_for(25).standard_normal((6, 4))
         ad = lora_init(w, rank=2, rng=rng_for(26))
         x = rng_for(27).standard_normal((4, 9))
-        assert np.array_equal(ad.forward(x), w @ x)
+        assert np.array_equal(ad.forward_cached(x)[0], w @ x)
         assert not ad.b.any()
 
     def test_residual_is_exact_product(self):
@@ -123,7 +124,7 @@ class TestIa3:
         ad = ia3_init(w)
         ad.scale[:] = rng_for(38).standard_normal(5)
         x = rng_for(39).standard_normal((3, 6))
-        got = ad.forward(x)
+        got = ad.forward_cached(x)[0]
         base = w @ x
         for i in range(5):
             assert np.allclose(got[i], ad.scale[i] * base[i], atol=1e-14)
@@ -132,7 +133,7 @@ class TestIa3:
         w = rng_for(40).standard_normal((4, 4))
         ad = ia3_init(w)
         x = rng_for(41).standard_normal((4, 5))
-        assert np.allclose(ad.forward(x), w @ x, atol=1e-14)
+        assert np.allclose(ad.forward_cached(x)[0], w @ x, atol=1e-14)
 
     def test_effective_weight_scales_rows(self):
         w = rng_for(42).standard_normal((3, 4))
@@ -149,7 +150,7 @@ class TestFullyTrainable:
         w = rng_for(43).standard_normal((4, 6))
         ad = full_init(w)
         x = rng_for(44).standard_normal((6, 3))
-        assert np.array_equal(ad.forward(x), w @ x)
+        assert np.array_equal(ad.forward_cached(x)[0], w @ x)
 
     def test_residual_tracks_drift(self):
         w = rng_for(45).standard_normal((3, 3))
@@ -160,7 +161,13 @@ class TestFullyTrainable:
         assert np.array_equal(w, w0)
 
 
+def one_layer_net(adapter) -> Mlp:
+    return Mlp(layers=[DenseLayer(adapter=adapter, bias=np.zeros(3),
+                                  activation=Activation.IDENTITY)])
+
+
 class TestShapeChecks:
+    # network.forward checks the input once for every adapter kind.
     @pytest.mark.parametrize("build", [
         lambda w: rosa_init(w, rank=1, rng=rng_for(0)),
         lambda w: lora_init(w, rank=1, rng=rng_for(0)),
@@ -168,13 +175,13 @@ class TestShapeChecks:
         lambda w: full_init(w),
     ])
     def test_wrong_input_rows(self, build):
-        ad = build(np.ones((3, 4)))
+        net = one_layer_net(build(np.ones((3, 4))))
         with pytest.raises(ShapeError):
-            ad.forward(np.ones((5, 2)))
+            forward(net, np.ones((5, 2)))
 
     def test_vector_input_rejected(self):
-        with pytest.raises(ShapeError):
-            full_init(np.ones((3, 4))).forward(np.ones(4))
+        with pytest.raises(InvalidInputError, match="2-D"):
+            forward(one_layer_net(full_init(np.ones((3, 4)))), np.ones(4))
 
 
 class TestParamAccounting:
@@ -211,7 +218,7 @@ class TestDriftRankContrast:
         for cycle in range(3):
             ad.a += 0.5 * updates.standard_normal(ad.a.shape)
             ad.b += 0.5 * updates.standard_normal(ad.b.shape)
-            ad.factorize(rng_for(60 + cycle))
+            ad.factorize(rng_for(60 + cycle), svd(ad.effective_weight()))
         assert numerical_rank(ad.effective_weight() - w0) > 2
 
     def test_frozen_pair_stays_within_budget(self):
@@ -234,7 +241,7 @@ def test_factorize_identity_property(seed, m, n, data):
     ad.a += rng.standard_normal(ad.a.shape)
     ad.b += rng.standard_normal(ad.b.shape)
     before = ad.effective_weight()
-    ad.factorize(rng)
+    ad.factorize(rng, svd(ad.effective_weight()))
     scale = max(1.0, np.abs(before).max())
     assert np.allclose(ad.effective_weight(), before, atol=1e-9 * scale)
 
@@ -246,4 +253,4 @@ def test_rosa_slice_reproduces_host_weight(seed):
     w = rng.standard_normal((6, 5))
     ad = rosa_init(w, rank=2, rng=rng)
     x = rng.standard_normal((5, 4))
-    assert np.allclose(ad.forward(x), w @ x, atol=1e-10)
+    assert np.allclose(ad.forward_cached(x)[0], w @ x, atol=1e-10)

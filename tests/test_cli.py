@@ -83,6 +83,24 @@ class TestTrain:
         assert summary["config"]["lr"] == 0.02
         assert summary["config"]["batch_size"] == 8
 
+    def test_choice_flag_checked_like_config_file(self, tmp_path, capsys):
+        # A choice flag takes any case and fails with the config file's
+        # error line, since TrainConfig is its only check.
+        config = write_config(tmp_path, rank=None, epochs=1)
+        summaries = []
+        for method in ("ft", "FT"):
+            out = tmp_path / method
+            assert main(["train", "--config", config, "--out", str(out),
+                         "--method", method]) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "bad"),
+                     "--method", "xx"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: config field 'method'")
+
     def test_flags_are_the_config_fields(self):
         # One flag per TrainConfig field, named by it, beside --config and
         # --out: a field cannot lose its flag, nor a flag its field.

@@ -56,7 +56,7 @@ class TestBuildMlp:
     def test_dims_and_activations(self):
         net = build_mlp([4, 8, 8, 2], rng_for(0))
         assert net.in_dim == 4
-        assert net.out_dim == 2
+        assert net.layers[-1].out_dim == 2
         assert [l.activation for l in net.layers] == [
             Activation.RELU, Activation.RELU, Activation.IDENTITY]
 

@@ -11,7 +11,8 @@ there would report no work. Every workload's operations must also match
 perfbench/fingerprint.json, so a changed byte in training or in the SVD
 path fails here before it fails a benchmark run. Each workload's setup
 child, which perfbench/run.py times in a fresh interpreter, must start and
-print "ready" from the source tree alone.
+print "ready" from the source tree alone, and load only the submodules it
+imports: `import rosa` by itself loads none.
 """
 
 import importlib
@@ -117,3 +118,14 @@ def test_setup_child_starts_fresh(name, tmp_path):
                            timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "ready\n"
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, rosa; print(sorted(m for m in sys.modules "
+            "if m.startswith('rosa.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
